@@ -23,7 +23,6 @@ from .training import (
     TrainConfig,
     chamfer,
     cycle_total_loss,
-    downsample_targets,
     evaluate,
     stepwise_loss,
     train,
@@ -52,7 +51,6 @@ __all__ = [
     "batch_norm",
     "chamfer",
     "cycle_total_loss",
-    "downsample_targets",
     "evaluate",
     "finite_diff_check",
     "fps",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import SHAPE_KINDS, generate_dataset, load_dataset, read_xyz, write_xyz
-from .model import ModelConfig, spcnet_forward
+from .model import ModelConfig, spcnet_forward, stage_names
 from .rng import Rng
 from .tensor import Tensor, no_grad
 from .training import TrainConfig, evaluate, train
@@ -152,12 +152,7 @@ def _cmd_complete(args) -> int:
     if args.emit_stages:
         stage_dir = Path(args.emit_stages)
         stage_dir.mkdir(parents=True, exist_ok=True)
-        names = (
-            ["coarse", "mid", "fine", "final"]
-            if len(out.stages) == 4
-            else [f"stage{i}" for i in range(len(out.stages))]
-        )
-        for name, stage in zip(names, out.stages):
+        for name, stage in zip(stage_names(len(out.stages)), out.stages):
             write_xyz(stage.data, stage_dir / f"{name}.xyz")
     print(f"wrote {union.shape[0]} points to {args.out}")
     return 0

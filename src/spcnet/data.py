@@ -35,7 +35,13 @@ def write_xyz(cloud: np.ndarray, path) -> None:
             fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
 
 
-def read_xyz(path) -> np.ndarray:
+def read_xyz(path, extra_columns: bool = False) -> np.ndarray:
+    """Parse one point per line; blank and '#' lines are skipped.
+
+    A line holds exactly the three coordinates, or with ``extra_columns``
+    at least three fields, of which the extras (labels, normals) are
+    ignored.  Every coordinate must be a finite number; errors name the line.
+    """
     points = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -43,14 +49,17 @@ def read_xyz(path) -> np.ndarray:
             if not text or text.startswith("#"):
                 continue
             fields = text.split()
-            if len(fields) != 3:
+            if len(fields) < 3 or (len(fields) > 3 and not extra_columns):
                 raise ValueError(
                     f"{path}:{lineno}: expected 3 coordinates, got {len(fields)}"
                 )
             try:
-                points.append([float(v) for v in fields])
+                point = [float(v) for v in fields[:3]]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric coordinate") from None
+            if not all(map(math.isfinite, point)):
+                raise ValueError(f"{path}:{lineno}: non-finite coordinate")
+            points.append(point)
     return np.asarray(points, dtype=np.float64).reshape(-1, 3)
 
 
@@ -234,21 +243,6 @@ def load_dataset(data_dir) -> Dataset:
     return ingest_category_tree(data_dir)
 
 
-def _read_points_lenient(path) -> np.ndarray:
-    """Parse 'x y z [extras]' lines; extras (labels, normals) are ignored."""
-    points = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            fields = text.split()
-            if len(fields) < 3:
-                raise ValueError(f"{path}:{lineno}: expected at least 3 fields")
-            points.append([float(v) for v in fields[:3]])
-    return np.asarray(points, dtype=np.float64).reshape(-1, 3)
-
-
 def resample_to(points: np.ndarray, target: int, rng: Rng) -> np.ndarray:
     """Exactly ``target`` points: a uniform draw without replacement when the
     cloud is large enough, otherwise all points plus duplicates taken in
@@ -274,7 +268,7 @@ def ingest_category_tree(root, points_per_shape: int = 2048, seed: int = 0) -> D
             if not file_path.is_file():
                 continue
             try:
-                points = _read_points_lenient(file_path)
+                points = read_xyz(file_path, extra_columns=True)
                 if points.shape[0] < 2:
                     raise ValueError("fewer than 2 points")
                 points = resample_to(points, points_per_shape, rng)

@@ -195,6 +195,14 @@ class StageOutputs:
         return [s.shape[0] for s in self.stages]
 
 
+def stage_names(count: int) -> list:
+    """Names of a forward pass's ``count`` stages, coarse first: coarse, mid,
+    fine, final for the full chain, else stage0, stage1, ..."""
+    if count == 4:
+        return ["coarse", "mid", "fine", "final"]
+    return [f"stage{i}" for i in range(count)]
+
+
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
@@ -265,7 +273,7 @@ def acm_forward(
     code = global_code(f2)
     u1 = L.interpolate_up(whole, c1, f1, k=min(3, c1.shape[0]))
     u2 = L.interpolate_up(whole, c2, f2, k=min(3, c2.shape[0]))
-    detail = T.concat([f0, u1, u2, T.broadcast_row(code, n)], axis=1)
+    detail = T.concat([f0, u1, u2, T.tile_rows(code.reshape(1, -1), n)], axis=1)
     local = L.shared_mlp(
         detail, L.LayerSpec((w.local_feat,), use_bn=False), params, f"{prefix}.local"
     )

@@ -95,11 +95,6 @@ class Rng:
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
 
-    def shuffle(self, seq: list) -> None:
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            seq[i], seq[j] = seq[j], seq[i]
-
     def spawn(self) -> "Rng":
         """Child generator seeded from this stream (for per-phase streams)."""
         return Rng(self.next_uint64())

@@ -8,23 +8,24 @@ reverse topological order, accumulating into ``.grad`` (multiple paths add).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, Sequence
+from contextvars import ContextVar
+from typing import Sequence
 
 import numpy as np
 
-_GRAD_ENABLED = True
+# A context variable, so a no_grad block in one thread leaves tape recording
+# in every other thread alone.
+_grad_enabled: ContextVar[bool] = ContextVar("spcnet_grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block (inference / evaluation)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _grad_enabled.reset(token)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -59,7 +60,7 @@ class Tensor:
     @staticmethod
     def _node(data: np.ndarray, parents: tuple, backward) -> "Tensor":
         out = Tensor(data)
-        if _GRAD_ENABLED and any(p._tracked() for p in parents):
+        if _grad_enabled.get() and any(p._tracked() for p in parents):
             out._parents = parents
             out._backward = backward
         return out
@@ -372,19 +373,6 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return Tensor._node(out_data, (x,), bwd)
 
 
-def broadcast_row(x: Tensor, n: int) -> Tensor:
-    """Repeat a [d] vector into an [n, d] matrix; backward sums the rows."""
-    x = as_tensor(x)
-    if x.data.ndim != 1:
-        raise ValueError(f"broadcast_row: expected a 1-d vector, got {x.data.shape}")
-    out_data = np.tile(x.data, (n, 1))
-
-    def bwd(g):
-        x._accumulate(g.sum(axis=0))
-
-    return Tensor._node(out_data, (x,), bwd)
-
-
 def tile_rows(x: Tensor, k: int) -> Tensor:
     """Stack k copies of an [m, d] block into [k*m, d] (replica-major)."""
     x = as_tensor(x)
@@ -435,50 +423,20 @@ def group_max_rows(x: Tensor, group_size: int) -> Tensor:
     return Tensor._node(out_data, (x,), bwd)
 
 
-class RunningStats:
-    """Exponential-moving per-channel statistics for batch normalization."""
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Per-column normalization with the rows' own (biased) statistics.
 
-    __slots__ = ("mean", "var")
-
-    def __init__(self, width: int):
-        self.mean = np.zeros(width)
-        self.var = np.ones(width)
-
-
-def batch_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    stats: RunningStats | None = None,
-    mode: str = "train",
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-) -> Tensor:
-    """Per-column normalization.
-
-    Train mode normalizes with the batch's own (biased) statistics and, when
-    ``stats`` is given, folds them into the running estimates; eval mode
-    normalizes with the running estimates.  The epsilon guard keeps
+    The map is a pure function of the rows at hand.  The epsilon guard keeps
     zero-variance columns (including batches of one row) finite.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.data.ndim != 2 or x.data.shape[0] < 1:
         raise ValueError(f"batch_norm: need a non-empty 2-d input, got {x.data.shape}")
-    if mode == "train":
-        mu = x.mean(axis=0)
-        centered = x - mu
-        var = (centered * centered).mean(axis=0)
-        if stats is not None:
-            stats.mean = (1.0 - momentum) * stats.mean + momentum * mu.data
-            stats.var = (1.0 - momentum) * stats.var + momentum * var.data
-        scale = (var + eps).pow(-0.5)
-        return gamma * (centered * scale) + beta
-    if mode == "eval":
-        if stats is None:
-            raise ValueError("batch_norm: eval mode needs running stats")
-        scale = 1.0 / np.sqrt(stats.var + eps)
-        return gamma * ((x - constant(stats.mean)) * constant(scale)) + beta
-    raise ValueError(f"batch_norm: unknown mode {mode!r}")
+    mu = x.mean(axis=0)
+    centered = x - mu
+    var = (centered * centered).mean(axis=0)
+    scale = (var + eps).pow(-0.5)
+    return gamma * (centered * scale) + beta
 
 
 def backward(loss: Tensor) -> None:

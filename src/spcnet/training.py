@@ -7,15 +7,13 @@ the round trip, with gradients flowing through the whole composition.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .geometry import fps, viewpoint_split
-from .model import ModelConfig, StageOutputs, init_params, spcnet_forward
+from .model import ModelConfig, StageOutputs, init_params, spcnet_forward, stage_names
 from .optim import AdamState, ParamSet, adam_step, zero_grads
 from .rng import Rng
 from .tensor import Tensor, as_tensor, backward, constant, no_grad
@@ -44,20 +42,6 @@ def chamfer(a: Tensor, b: Tensor) -> Tensor:
     term_a = (da * da).sum(axis=1).mean()
     term_b = (db * db).sum(axis=1).mean()
     return term_a + term_b
-
-
-def downsample_targets(p_missing: np.ndarray, down_rate: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nested FPS targets at rates K and K^2; the coarser set is a subset of
-    the finer one by construction."""
-    p_missing = np.asarray(p_missing, dtype=np.float64)
-    m = p_missing.shape[0]
-    if down_rate < 1 or m % (down_rate * down_rate) != 0:
-        raise ValueError(
-            f"downsample_targets: {m} points not divisible by rate {down_rate}^2"
-        )
-    mid = p_missing[fps(p_missing, m // down_rate)]
-    low = mid[fps(mid, m // (down_rate * down_rate))]
-    return mid, low
 
 
 def nested_targets(p_missing: np.ndarray, counts) -> list:
@@ -174,7 +158,6 @@ class TrainConfig:
     batch_size: int = 24
     lr: float = 1e-4
     seed: int = 0
-    eval_viewpoint: tuple = (1.0, 1.0, 1.0)
     lr_decay: str = "none"  # none | cosine
 
     def __post_init__(self):
@@ -337,14 +320,6 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SPCNET_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def evaluate(
     params: ParamSet,
     config: ModelConfig,
@@ -368,42 +343,31 @@ def evaluate(
             f"shape, dataset has {shapes[0][1].shape[0]}"
         )
     vp = np.asarray(viewpoint, dtype=np.float64)
-
-    def shape_values(item):
-        index, (_, points) = item
-        rng = Rng(seed + index) if config.sampling_kind == "rps" else None
-        p_n, p_m = viewpoint_split(points, vp, config.missing_ratio)
-        with no_grad():
+    values = []
+    with no_grad():
+        for index, (_, points) in enumerate(shapes):
+            rng = Rng(seed + index) if config.sampling_kind == "rps" else None
+            p_n, p_m = viewpoint_split(points, vp, config.missing_ratio)
             out = spcnet_forward(Tensor(p_n), params, config, rng=rng)
             if stagewise:
                 targets = nested_targets(p_m, out.counts())
-                return tuple(
+                values.append(tuple(
                     chamfer(stage, constant(t)).item() * 1000.0
                     for stage, t in zip(out.stages, targets)
-                )
-            pred_whole = np.concatenate([p_n, out.final.data], axis=0)
-            true_whole = np.concatenate([p_n, p_m], axis=0)
-            return (chamfer(Tensor(pred_whole), Tensor(true_whole)).item() * 1000.0,)
-
-    workers = _worker_count()
-    items = list(enumerate(shapes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(shape_values, items))
-    else:
-        values = [shape_values(item) for item in items]
+                ))
+            else:
+                pred_whole = np.concatenate([p_n, out.final.data], axis=0)
+                true_whole = np.concatenate([p_n, p_m], axis=0)
+                cd = chamfer(Tensor(pred_whole), Tensor(true_whole)).item()
+                values.append((cd * 1000.0,))
 
     if stagewise:
-        n_stages = len(values[0])
-        if n_stages == 4:
-            columns = ("cd_coarse", "cd_mid", "cd_fine", "cd_final")
-        else:
-            columns = tuple(f"cd_stage{i}" for i in range(n_stages))
+        columns = tuple(f"cd_{name}" for name in stage_names(len(values[0])))
     else:
         columns = ("cd_x1000",)
 
     by_category: dict = {}
-    for (_, (category, _)), vals in zip(items, values):
+    for (category, _), vals in zip(shapes, values):
         by_category.setdefault(category, []).append(vals)
     per_category = []
     for category in sorted(by_category):

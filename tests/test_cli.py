@@ -127,6 +127,22 @@ class TestComplete:
             "--out", str(tmp_path / "o.xyz"),
         ]) == 1
 
+    def test_non_finite_input_fails_with_one_line_error(self, trained, tmp_path, capsys):
+        ckpt = load_checkpoint(trained)
+        partial = np.random.default_rng(1).uniform(-1, 1, (ckpt.config.partial_count, 3))
+        src = tmp_path / "partial.xyz"
+        write_xyz(partial, src)
+        lines = src.read_text().splitlines()
+        lines[4] = "0.1 nan 0.2"
+        src.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([
+            "complete", "--ckpt", str(trained), "--in", str(src),
+            "--out", str(tmp_path / "o.xyz"),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {src}:5: non-finite coordinate\n"
+        assert not (tmp_path / "o.xyz").exists()
+
 
 class TestEval:
     def test_csv_header_and_overall_row(self, trained, data_dir, tmp_path):

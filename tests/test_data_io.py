@@ -44,6 +44,32 @@ class TestXyz:
         with pytest.raises(ValueError, match=r":1:.*numeric"):
             read_xyz(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_names_line(self, tmp_path, value):
+        path = tmp_path / "bad.xyz"
+        path.write_text(f"1 2 3\n1 {value} 3\n")
+        with pytest.raises(ValueError, match=r":2: non-finite coordinate"):
+            read_xyz(path)
+
+    def test_extra_columns_rejected_by_default(self, tmp_path):
+        path = tmp_path / "labelled.xyz"
+        path.write_text("1 2 3 7\n")
+        with pytest.raises(ValueError, match=r":1: expected 3 coordinates, got 4"):
+            read_xyz(path)
+
+    def test_extra_columns_ignored_when_allowed(self, tmp_path):
+        path = tmp_path / "labelled.xyz"
+        path.write_text("1 2 3 0.1 0.2 7\n4 5 6 0.3 0.4 8\n")
+        np.testing.assert_array_equal(
+            read_xyz(path, extra_columns=True), [[1, 2, 3], [4, 5, 6]]
+        )
+
+    def test_too_few_fields_rejected_when_extras_allowed(self, tmp_path):
+        path = tmp_path / "short.xyz"
+        path.write_text("1 2\n")
+        with pytest.raises(ValueError, match=r":1:"):
+            read_xyz(path, extra_columns=True)
+
 
 class TestGenerate:
     def test_sphere_points_unit_distance_from_centroid(self):
@@ -127,6 +153,18 @@ class TestIngest:
             dataset = ingest_category_tree(root, points_per_shape=128, seed=0)
         assert len(dataset.shapes) == 4
         assert any("bad.pts" in message for message in caplog.text.splitlines())
+
+    def test_non_finite_file_skipped_with_warning(self, tmp_path, caplog):
+        root = self.make_tree(tmp_path)
+        (root / "chair" / "nan.pts").write_text("0 0 0\n1 nan 1\n2 2 2\n")
+        with caplog.at_level("WARNING"):
+            dataset = ingest_category_tree(root, points_per_shape=128, seed=0)
+        assert len(dataset.shapes) == 4
+        assert all(np.isfinite(pts).all() for _, pts in dataset.shapes)
+        assert any(
+            "nan.pts" in message and "non-finite coordinate" in message
+            for message in caplog.text.splitlines()
+        )
 
     def test_empty_tree_fatal(self, tmp_path):
         root = tmp_path / "empty"

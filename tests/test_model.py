@@ -13,6 +13,7 @@ from spcnet.model import (
     init_params,
     scm_forward,
     spcnet_forward,
+    stage_names,
     zero_fold_heads,
 )
 from spcnet.rng import Rng
@@ -74,6 +75,15 @@ class TestModelConfig:
         for i, u in enumerate(cfg.upsample_factors):
             assert counts[i + 1] == counts[i] * u
         assert counts[-1] == cfg.missing_count
+
+
+class TestStageNames:
+    def test_full_chain_is_named_by_resolution(self):
+        assert stage_names(4) == ["coarse", "mid", "fine", "final"]
+
+    def test_shorter_chains_are_numbered(self):
+        assert stage_names(2) == ["stage0", "stage1"]
+        assert stage_names(3) == ["stage0", "stage1", "stage2"]
 
 
 class TestGlobalCode:

@@ -14,7 +14,6 @@ from spcnet.training import (
     TrainConfig,
     chamfer,
     cycle_total_loss,
-    downsample_targets,
     evaluate,
     nested_targets,
     stepwise_loss,
@@ -87,27 +86,7 @@ class TestChamfer:
             chamfer(Tensor(np.empty((0, 3))), Tensor(cloud(3, 7)))
 
 
-class TestDownsampleTargets:
-    def test_counts_for_published_configuration(self):
-        mid, low = downsample_targets(cloud(1024, 8), 4)
-        assert mid.shape == (256, 3) and low.shape == (64, 3)
-
-    def test_rate_one_is_identity_as_sets(self):
-        pts = cloud(12, 9)
-        mid, low = downsample_targets(pts, 1)
-        assert {tuple(p) for p in mid} == {tuple(p) for p in pts}
-        assert {tuple(p) for p in low} == {tuple(p) for p in pts}
-
-    def test_nested_subsets(self):
-        pts = cloud(64, 10)
-        mid, low = downsample_targets(pts, 4)
-        as_set = lambda arr: {tuple(p) for p in arr}
-        assert as_set(low) <= as_set(mid) <= as_set(pts)
-
-    def test_divisibility_enforced(self):
-        with pytest.raises(ValueError):
-            downsample_targets(cloud(30, 11), 4)
-
+class TestNestedTargets:
     def test_nested_targets_counts_and_subsets(self):
         pts = cloud(32, 12)
         targets = nested_targets(pts, [8, 16, 32, 32])
