@@ -12,9 +12,9 @@ import numpy as np
 
 from spcnet.data import generate_shapes
 from spcnet.geometry import viewpoint_split
-from spcnet.model import ModelConfig, spcnet_forward
+from spcnet.model import LOSS_MODES, ModelConfig, spcnet_forward
 from spcnet.tensor import Tensor, no_grad
-from spcnet.training import TrainConfig, chamfer, nested_targets, train
+from spcnet.training import LR_DECAYS, TrainConfig, chamfer, nested_targets, train
 
 
 def main():
@@ -24,9 +24,9 @@ def main():
     parser.add_argument("--points", type=int, default=256)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--lr", type=float, default=5e-3)
-    parser.add_argument("--lr-decay", choices=["none", "cosine"], default="cosine")
+    parser.add_argument("--lr-decay", choices=LR_DECAYS, default="cosine")
     parser.add_argument("--width-scale", type=float, default=0.125)
-    parser.add_argument("--loss-mode", choices=["1L", "2L", "4L"], default="1L")
+    parser.add_argument("--loss-mode", choices=LOSS_MODES, default="1L")
     parser.add_argument("--trace", default=None, help="write the loss trace here")
     args = parser.parse_args()
 

@@ -4,10 +4,13 @@ Layout: magic, u32 version, length-prefixed UTF-8 config block of key=value
 lines, u32 tensor count, then per tensor a length-prefixed name, u32 rank,
 u64 extents, and float32 values.  Parameters are stored in 32 bits (adequate
 for inference at half the file size); optimizer moments ride along as
-reserved "adam." tensors when present.
+reserved "adam." tensors when present.  A save writes a temporary file
+next to the target and renames it over the target, so a failed save leaves
+any earlier file intact.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
@@ -32,7 +35,6 @@ class Checkpoint:
     params: ParamSet
     adam: AdamState | None = None
     meta: dict = field(default_factory=dict)
-    version: int = VERSION
 
 
 # -- config block -----------------------------------------------------------
@@ -43,20 +45,14 @@ def _encode_value(value) -> str:
     return str(value)
 
 
-_TUPLE_INT_FIELDS = {"upsample_factors"}
-_BOOL_FIELDS = {"use_aggregation"}
-
-
-def _decode_field(name: str, text: str, py_type):
-    if name in _TUPLE_INT_FIELDS:
+def _decode_value(text: str, default):
+    """Parse ``text`` as a value of the type of the field's ``default``
+    (tuples hold ints)."""
+    if isinstance(default, tuple):
         return tuple(int(v) for v in text.split(",") if v)
-    if name in _BOOL_FIELDS:
+    if isinstance(default, bool):
         return text == "True"
-    if py_type is int:
-        return int(text)
-    if py_type is float:
-        return float(text)
-    return text
+    return type(default)(text)
 
 
 def _config_block(ckpt: Checkpoint) -> bytes:
@@ -80,7 +76,7 @@ def _parse_config_block(blob: bytes) -> tuple[ModelConfig, dict, dict]:
     kwargs = {}
     for f in dataclass_fields(ModelConfig):
         if f.name in entries:
-            kwargs[f.name] = _decode_field(f.name, entries[f.name], type(f.default))
+            kwargs[f.name] = _decode_value(entries[f.name], f.default)
     config = ModelConfig(**kwargs)
     meta = {k[5:]: v for k, v in entries.items() if k.startswith("meta.")}
     extras = {k: v for k, v in entries.items() if k in ("has_adam", "adam.t")}
@@ -98,20 +94,27 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         for n in names:
             tensors.append((f"adam.v.{n}", ckpt.adam.v[n]))
     blob = _config_block(ckpt)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, data in tensors:
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", data.ndim))
-            for extent in data.shape:
-                fh.write(struct.pack("<Q", extent))
-            fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            fh.write(struct.pack("<I", len(tensors)))
+            for name, data in tensors:
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<I", data.ndim))
+                for extent in data.shape:
+                    fh.write(struct.pack("<Q", extent))
+                fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:
@@ -174,4 +177,4 @@ def load_checkpoint(path) -> Checkpoint:
             v={n: raw[f"adam.v.{n}"] for n in params},
             t=int(extras.get("adam.t", "0")),
         )
-    return Checkpoint(config=config, params=params, adam=adam, meta=meta, version=version)
+    return Checkpoint(config=config, params=params, adam=adam, meta=meta)

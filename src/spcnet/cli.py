@@ -15,15 +15,23 @@ import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import SHAPE_KINDS, generate_dataset, load_dataset, read_xyz, write_xyz
-from .model import ModelConfig, spcnet_forward, stage_names
+from .model import LOSS_MODES, ModelConfig, spcnet_forward, stage_names
 from .rng import Rng
 from .tensor import Tensor, no_grad
-from .training import TrainConfig, evaluate, train
+from .training import LR_DECAYS, TrainConfig, evaluate, train
 
-VARIANTS = (
-    "scm1", "scm2", "pointnet-mlp", "one-subnet", "no-agg",
-    "edge-conv", "rps", "pnk-pn", "pnkk-pn",
-)
+# ablation variant -> the model config it trains, from the base config
+VARIANTS = {
+    "scm1": lambda c: replace(c, scm_count=1, upsample_factors=(1,)),
+    "scm2": lambda c: replace(c, scm_count=2, upsample_factors=(c.down_rate, 1)),
+    "pointnet-mlp": lambda c: replace(c, vmlp_kind="pointnet_mlp"),
+    "one-subnet": lambda c: replace(c, vmlp_kind="one_subnet"),
+    "no-agg": lambda c: replace(c, use_aggregation=False),
+    "edge-conv": lambda c: replace(c, conv_kind="edge"),
+    "rps": lambda c: replace(c, sampling_kind="rps"),
+    "pnk-pn": lambda c: replace(c, partial_substitution="pnk-pn"),
+    "pnkk-pn": lambda c: replace(c, partial_substitution="pnkk-pn"),
+}
 
 
 def _parse_viewpoint(text: str):
@@ -35,47 +43,25 @@ def _parse_viewpoint(text: str):
 
 def _config_from_args(args) -> ModelConfig:
     config = ModelConfig()
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
         known = {f.name for f in dataclass_fields(ModelConfig)}
         unknown = set(overrides) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "upsample_factors" in overrides:
-            overrides["upsample_factors"] = tuple(overrides["upsample_factors"])
         config = replace(config, **overrides)
-    if getattr(args, "missing_ratio", None) is not None:
+    if args.missing_ratio is not None:
         config = replace(config, missing_ratio=args.missing_ratio)
-    if getattr(args, "loss_mode", None) is not None:
-        config = replace(config, loss_mode=args.loss_mode.upper())
-    if getattr(args, "points", None) is not None:
-        config = replace(config, points_per_shape=args.points)
-    if getattr(args, "width_scale", None) is not None:
-        config = replace(config, width_scale=args.width_scale)
-    if getattr(args, "knn_k", None) is not None:
-        config = replace(config, knn_k=args.knn_k)
+    if args.loss_mode is not None:
+        config = replace(config, loss_mode=args.loss_mode)
     return config
 
 
 def _apply_variant(config: ModelConfig, variant: str) -> ModelConfig:
-    if variant == "scm1":
-        return replace(config, scm_count=1, upsample_factors=(1,))
-    if variant == "scm2":
-        return replace(config, scm_count=2, upsample_factors=(config.down_rate, 1))
-    if variant == "pointnet-mlp":
-        return replace(config, vmlp_kind="pointnet_mlp")
-    if variant == "one-subnet":
-        return replace(config, vmlp_kind="one_subnet")
-    if variant == "no-agg":
-        return replace(config, use_aggregation=False)
-    if variant == "edge-conv":
-        return replace(config, conv_kind="edge")
-    if variant == "rps":
-        return replace(config, sampling_kind="rps")
-    if variant in ("pnk-pn", "pnkk-pn"):
-        return replace(config, partial_substitution=variant)
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return VARIANTS[variant](config)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -89,9 +75,7 @@ def _cmd_gen_data(args) -> int:
 
 def _run_training(args, config: ModelConfig) -> int:
     dataset = load_dataset(args.data)
-    n_points = dataset.shapes[0][1].shape[0]
-    if n_points != config.points_per_shape:
-        config = replace(config, points_per_shape=n_points)
+    config = replace(config, points_per_shape=dataset.shapes[0][1].shape[0])
     train_config = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -181,15 +165,12 @@ def _add_train_flags(p) -> None:
     p.add_argument("--epochs", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--missing-ratio", type=float, default=None)
-    p.add_argument("--loss-mode", choices=["1l", "2l", "4l"], default=None)
+    p.add_argument("--loss-mode", type=str.upper, choices=LOSS_MODES, default=None)
     p.add_argument("--config", default=None, help="JSON file of model-config overrides")
     p.add_argument("--trace", default=None, help="write the per-epoch loss trace here")
     p.add_argument("--batch-size", type=int, default=24)
     p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--lr-decay", choices=["none", "cosine"], default="none")
-    p.add_argument("--width-scale", type=float, default=None)
-    p.add_argument("--knn-k", type=int, default=None)
-    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--lr-decay", choices=LR_DECAYS, default="none")
 
 
 def build_parser() -> argparse.ArgumentParser:

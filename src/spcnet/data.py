@@ -186,7 +186,6 @@ _GENERATORS = {
 @dataclass
 class Dataset:
     shapes: list = field(default_factory=list)  # (category, [n, 3] cloud)
-    manifest: dict = field(default_factory=dict)
 
 
 def generate_shapes(kinds, count: int, points_per_shape: int, seed: int) -> Dataset:
@@ -202,16 +201,7 @@ def generate_shapes(kinds, count: int, points_per_shape: int, seed: int) -> Data
     for i in range(count):
         kind = kinds[i % len(kinds)]
         shapes.append((kind, _GENERATORS[kind](master.spawn(), points_per_shape)))
-    manifest = {
-        "generator": "procedural",
-        "seed": seed,
-        "points_per_shape": points_per_shape,
-        "shapes": [
-            {"file": f"shape_{i:04d}.xyz", "category": kind}
-            for i, (kind, _) in enumerate(shapes)
-        ],
-    }
-    return Dataset(shapes=shapes, manifest=manifest)
+    return Dataset(shapes=shapes)
 
 
 def generate_dataset(out_dir, kinds, count: int, points_per_shape: int, seed: int) -> Dataset:
@@ -219,10 +209,18 @@ def generate_dataset(out_dir, kinds, count: int, points_per_shape: int, seed: in
     dataset = generate_shapes(kinds, count, points_per_shape, seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for entry, (_, cloud) in zip(dataset.manifest["shapes"], dataset.shapes):
-        write_xyz(cloud, out_dir / entry["file"])
+    entries = []
+    for i, (kind, cloud) in enumerate(dataset.shapes):
+        entries.append({"file": f"shape_{i:04d}.xyz", "category": kind})
+        write_xyz(cloud, out_dir / entries[-1]["file"])
+    manifest = {
+        "generator": "procedural",
+        "seed": seed,
+        "points_per_shape": points_per_shape,
+        "shapes": entries,
+    }
     with open(out_dir / "manifest.json", "w", newline="\n") as fh:
-        json.dump(dataset.manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return dataset
 
@@ -239,7 +237,7 @@ def load_dataset(data_dir) -> Dataset:
             (entry["category"], read_xyz(data_dir / entry["file"]))
             for entry in manifest["shapes"]
         ]
-        return Dataset(shapes=shapes, manifest=manifest)
+        return Dataset(shapes=shapes)
     return ingest_category_tree(data_dir)
 
 
@@ -279,9 +277,4 @@ def ingest_category_tree(root, points_per_shape: int = 2048, seed: int = 0) -> D
             shapes.append((category_dir.name, points))
     if not shapes:
         raise ValueError(f"no usable shapes under {root}")
-    manifest = {
-        "generator": "ingested",
-        "root": str(root),
-        "points_per_shape": points_per_shape,
-    }
-    return Dataset(shapes=shapes, manifest=manifest)
+    return Dataset(shapes=shapes)

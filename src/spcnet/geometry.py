@@ -14,7 +14,8 @@ import numpy as np
 from .rng import Rng
 
 
-def _pairwise_sq_dists(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
+def pairwise_sq_dists(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """[q, r] squared Euclidean distances between two clouds."""
     diff = query[:, None, :] - reference[None, :, :]
     return np.sum(diff * diff, axis=-1)
 
@@ -53,7 +54,6 @@ def rps(cloud: np.ndarray, n: int, rng: Rng) -> np.ndarray:
 class NeighborGraph:
     """k nearest neighbors per point, nearest first, ties by lowest index."""
 
-    k: int
     neighbors: np.ndarray  # [n, k] indices into the reference cloud
 
 
@@ -72,11 +72,11 @@ def knn(
     limit = reference.shape[0] - (1 if self_query else 0)
     if not 1 <= k <= limit:
         raise ValueError(f"knn: k={k} exceeds available neighbors ({limit})")
-    d2 = _pairwise_sq_dists(query, reference)
+    d2 = pairwise_sq_dists(query, reference)
     if self_query:
         np.fill_diagonal(d2, np.inf)
     order = np.argsort(d2, axis=1, kind="stable")
-    return NeighborGraph(k=k, neighbors=order[:, :k].astype(np.intp))
+    return NeighborGraph(neighbors=order[:, :k].astype(np.intp))
 
 
 def nearest_index(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -85,7 +85,7 @@ def nearest_index(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
     reference = np.asarray(reference, dtype=np.float64)
     if reference.shape[0] == 0:
         raise ValueError("nearest_index: reference cloud is empty")
-    return np.argmin(_pairwise_sq_dists(query, reference), axis=1).astype(np.intp)
+    return np.argmin(pairwise_sq_dists(query, reference), axis=1).astype(np.intp)
 
 
 def viewpoint_split_indices(

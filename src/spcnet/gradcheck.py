@@ -18,7 +18,6 @@ def finite_diff_check(
     eps: float = 1e-5,
     coord_limit: int | None = None,
     rng=None,
-    refine: bool = True,
 ) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
@@ -28,10 +27,10 @@ def finite_diff_check(
     (sampled via ``rng``), which keeps checks on large compositions tractable.
     Relative error uses max(|analytic|, |numeric|, 1e-8) as denominator.
 
-    With ``refine``, coordinates that disagree at the primary step are
-    re-measured a decade up and down and the best agreement is kept: a kink
-    (relu, max, nearest-point switch) straddled by one step width resolves at
-    a smaller step, fp noise on a near-zero slope resolves at a larger one,
+    Coordinates that disagree at the primary step are re-measured a decade
+    up and down and the best agreement is kept: a kink (relu, max,
+    nearest-point switch) straddled by one step width resolves at a smaller
+    step, fp noise on a near-zero slope resolves at a larger one,
     while a genuinely wrong gradient disagrees at every step.
     """
     if eps <= 0:
@@ -73,9 +72,9 @@ def finite_diff_check(
         grad_flat = analytic[name].reshape(-1)
         for i in coords:
             rel = probe(flat, i, grad_flat[i], eps)
-            if refine and rel > _REFINE_TRIGGER:
+            if rel > _REFINE_TRIGGER:
                 rel = min(rel, probe(flat, i, grad_flat[i], eps * 0.1))
-            if refine and rel > _REFINE_TRIGGER:
+            if rel > _REFINE_TRIGGER:
                 rel = min(rel, probe(flat, i, grad_flat[i], eps * 10.0))
             if rel > worst:
                 worst = rel

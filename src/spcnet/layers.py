@@ -17,6 +17,7 @@ from .optim import ParamBuilder, ParamSet
 from .tensor import Tensor, as_tensor, constant
 
 EDGE_SLOPE = 0.2  # slope of the leaky-relu used as the edge nonlinearity
+VMLP_KINDS = ("vmlp", "pointnet_mlp", "one_subnet")
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,11 @@ def edgeconv_params(pb: ParamBuilder, prefix: str, feat_width: int, m_out: int) 
     pb.weight(f"{prefix}.theta", 2 * feat_width, m_out)
 
 
+def self_knn_k(k: int, n: int) -> int:
+    """Neighbor count of an n-point cloud's graph over itself: k, at most n - 1."""
+    return max(1, min(k, n - 1))
+
+
 def _edge_inputs(center_coords, center_feats, ref_coords, ref_feats, neighbors):
     """Per-edge [x_i, x_j - x_i] and [f_i, f_j - f_i] blocks, center-major."""
     q, k = neighbors.shape
@@ -126,21 +132,28 @@ def _adapt_edge_response(dx: Tensor, df: Tensor, params: ParamSet, prefix: str, 
     return T.leaky_relu(h, EDGE_SLOPE)
 
 
-def _edge_response(df: Tensor, params: ParamSet, prefix: str) -> Tensor:
+def _edge_response(dx: Tensor, df: Tensor, params: ParamSet, prefix: str, m_out: int) -> Tensor:
     """Fixed shared kernel applied to the feature pair (the ablation baseline)."""
     return T.leaky_relu(T.matmul(df, params[f"{prefix}.theta"]), EDGE_SLOPE)
+
+
+# Graph convolutions by ``ModelConfig.conv_kind``: AdaptConv (Zhou et al., ICCV
+# 2021) and EdgeConv (Wang et al., DGCNN) as (builder(pb, prefix, feat_width,
+# m_out), edge response(dx, df, params, prefix, m_out) -> [edges, m_out]).
+CONVS = {
+    "adapt": (adaptconv_params, _adapt_edge_response),
+    "edge": (edgeconv_params, _edge_response),
+}
 
 
 def _conv_over_edges(
     kind, center_coords, center_feats, ref_coords, ref_feats, neighbors, params, prefix, m_out
 ) -> Tensor:
-    dx, df = _edge_inputs(center_coords, center_feats, ref_coords, ref_feats, neighbors)
-    if kind == "adapt":
-        h = _adapt_edge_response(dx, df, params, prefix, m_out)
-    elif kind == "edge":
-        h = _edge_response(df, params, prefix)
-    else:
+    if kind not in CONVS:
         raise ValueError(f"unknown convolution kind {kind!r}")
+    dx, df = _edge_inputs(center_coords, center_feats, ref_coords, ref_feats, neighbors)
+    _, edge_response = CONVS[kind]
+    h = edge_response(dx, df, params, prefix, m_out)
     return T.group_max_rows(h, neighbors.shape[1])
 
 
@@ -272,11 +285,11 @@ class VmlpSpec:
     sub_dims: tuple
     adjust_width: int
     out_width: int
-    kind: str = "vmlp"  # vmlp | pointnet_mlp | one_subnet
+    kind: str = "vmlp"  # one of VMLP_KINDS
     knn_k: int = 16
 
     def __post_init__(self):
-        if self.kind not in ("vmlp", "pointnet_mlp", "one_subnet"):
+        if self.kind not in VMLP_KINDS:
             raise ValueError(f"VmlpSpec: unknown kind {self.kind!r}")
         if len(self.sub_dims) < 4:
             raise ValueError(
@@ -325,7 +338,7 @@ def vmlp(
     if n < 2:
         raise ValueError(f"vmlp: need at least 2 points, got {n}")
     n_subs, dims, _, _, _ = _vmlp_layout(spec)
-    graph = knn(points.data, points.data, max(1, min(spec.knn_k, n - 1)))
+    graph = knn(points.data, points.data, self_knn_k(spec.knn_k, n))
 
     pooled_vectors = []
     blocks = []

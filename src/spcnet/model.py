@@ -7,7 +7,7 @@ last, and the refinement module slices the trailing block back out.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .optim import ParamBuilder, ParamSet
 from .rng import Rng
 from .tensor import Tensor, as_tensor
 
-CONV_KINDS = ("adapt", "edge")
-VMLP_KINDS = ("vmlp", "pointnet_mlp", "one_subnet")
+CONV_KINDS = tuple(L.CONVS)
 SAMPLING_KINDS = ("fps", "rps")
 LOSS_MODES = ("1L", "2L", "4L")
 PARTIAL_SUBSTITUTIONS = ("none", "pnk-pn", "pnkk-pn")
@@ -31,6 +30,7 @@ class ModelConfig:
 
     ``width_scale`` multiplies every layer width of the base schedule, which
     keeps the wiring topology fixed while shrinking runs to desk scale.
+    Each default's type is the field's type (checkpoints decode by it).
     """
 
     points_per_shape: int = 2048
@@ -48,6 +48,11 @@ class ModelConfig:
     width_scale: float = 1.0
     loss_mode: str = "1L"
     partial_substitution: str = "none"
+
+    def __post_init__(self):
+        for f in fields(self):
+            if isinstance(f.default, tuple):
+                object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
 
     # -- derived counts ----------------------------------------------------
 
@@ -84,8 +89,8 @@ class ModelConfig:
             raise ValueError(f"missing_ratio must be in (0, 1), got {self.missing_ratio}")
         if self.conv_kind not in CONV_KINDS:
             raise ValueError(f"conv_kind must be one of {CONV_KINDS}, got {self.conv_kind!r}")
-        if self.vmlp_kind not in VMLP_KINDS:
-            raise ValueError(f"vmlp_kind must be one of {VMLP_KINDS}, got {self.vmlp_kind!r}")
+        if self.vmlp_kind not in L.VMLP_KINDS:
+            raise ValueError(f"vmlp_kind must be one of {L.VMLP_KINDS}, got {self.vmlp_kind!r}")
         if self.sampling_kind not in SAMPLING_KINDS:
             raise ValueError(
                 f"sampling_kind must be one of {SAMPLING_KINDS}, got {self.sampling_kind!r}"
@@ -159,21 +164,18 @@ def vmlp_spec(config: ModelConfig) -> L.VmlpSpec:
     )
 
 
-def _eff_k(k: int, n: int) -> int:
-    return max(1, min(k, n - 1))
+def _aggregates(stage_index: int, config: ModelConfig) -> bool:
+    """Whether refinement stage ``stage_index`` merges the previous stage's
+    hand-off feature: every stage after the first, unless ablated."""
+    return stage_index > 0 and config.use_aggregation
 
 
 @dataclass
 class StageOutputs:
-    """Predicted clouds of every stage plus the per-stage hand-off features.
-
-    ``stages[0]`` is the coarse prediction; each later entry is one
-    refinement.  Hand-offs pair the stage's joined cloud coordinates with the
-    point-wise feature passed to the next stage.
-    """
+    """Predicted clouds of every stage: ``stages[0]`` is the coarse
+    prediction; each later entry is one refinement."""
 
     stages: list
-    handoffs: list = field(default_factory=list)
 
     @property
     def coarse(self) -> Tensor:
@@ -250,14 +252,15 @@ def acm_forward(
     p_missing = as_tensor(p_missing)
     n = whole.shape[0]
     m = p_missing.shape[0]
-    if m > n or not np.array_equal(whole.data[n - m:], p_missing.data):
+    # equal_nan: a non-finite prediction is for the loss to report
+    if m > n or not np.array_equal(whole.data[n - m:], p_missing.data, equal_nan=True):
         raise ValueError(
             f"{prefix}: joined cloud must end with the {m} predicted rows "
             "(row-order contract violated)"
         )
     w = width_schedule(config.width_scale)
     kind = config.conv_kind
-    k = _eff_k(config.knn_k, n)
+    k = L.self_knn_k(config.knn_k, n)
     graph = knn(whole.data, whole.data, k)
     f0 = L.graph_conv(
         kind, whole, pointwise_global, graph, params, f"{prefix}.conv0", w.encoder[0]
@@ -293,16 +296,15 @@ def scm_forward(
     config: ModelConfig,
 ):
     """One refinement stage: join partial and coarse clouds, extract the
-    point-wise global feature, merge the previous stage's hand-off, and emit
-    the refined cloud plus this stage's hand-off."""
-    wants_prev = stage_index > 0 and config.use_aggregation
-    if wants_prev and prev_handoff is None:
+    point-wise global feature, merge the previous stage's hand-off when the
+    stage aggregates, and emit the refined cloud plus this stage's hand-off
+    (the joined cloud's coordinates and its point-wise feature)."""
+    merge = _aggregates(stage_index, config)
+    if merge and prev_handoff is None:
         raise ValueError(f"scm{stage_index}: previous hand-off feature required")
-    if not wants_prev and prev_handoff is not None:
-        raise ValueError(f"scm{stage_index}: unexpected hand-off feature")
     whole = T.concat([as_tensor(p_partial), as_tensor(p_coarse)], axis=0)
     f_hat = L.vmlp(whole, params, f"scm{stage_index}.vmlp", vmlp_spec(config))
-    if wants_prev:
+    if merge:
         prev_points, prev_feats = prev_handoff
         feat = L.aggregate_prev(
             whole, f_hat, prev_points, prev_feats, params, f"scm{stage_index}.agg"
@@ -346,18 +348,14 @@ def spcnet_forward(
     elif config.partial_substitution == "pnkk-pn":
         levels[2] = levels[0]
 
-    coarse = coarse_stage(levels[config.scm_count - 1], params, config)
-    stages = [coarse]
-    handoffs = []
-    current = coarse
+    current = coarse_stage(levels[config.scm_count - 1], params, config)
+    stages = [current]
     handoff = None
     for i in range(config.scm_count):
         partial = levels[config.scm_count - 1 - i]
-        prev = handoff if (i > 0 and config.use_aggregation) else None
-        current, handoff = scm_forward(partial, current, prev, i, params, config)
+        current, handoff = scm_forward(partial, current, handoff, i, params, config)
         stages.append(current)
-        handoffs.append(handoff)
-    return StageOutputs(stages=stages, handoffs=handoffs)
+    return StageOutputs(stages=stages)
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +376,10 @@ def init_params(config: ModelConfig, seed: int) -> ParamSet:
 
     vspec = vmlp_spec(config)
     g = vspec.out_width
-    conv_params = (
-        L.adaptconv_params if config.conv_kind == "adapt" else L.edgeconv_params
-    )
+    conv_params, _ = L.CONVS[config.conv_kind]
     for i in range(config.scm_count):
         L.vmlp_params(pb, f"scm{i}.vmlp", vspec)
-        if i > 0 and config.use_aggregation:
+        if _aggregates(i, config):
             L.aggregate_prev_params(pb, f"scm{i}.agg", g, g, g)
         conv_params(pb, f"scm{i}.acm.conv0", g, w.encoder[0])
         conv_params(pb, f"scm{i}.acm.pool1", w.encoder[0], w.encoder[1])

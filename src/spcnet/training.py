@@ -12,8 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .geometry import fps, viewpoint_split
-from .model import ModelConfig, StageOutputs, init_params, spcnet_forward, stage_names
+from .geometry import fps, pairwise_sq_dists, viewpoint_split
+from .model import (
+    LOSS_MODES, ModelConfig, StageOutputs, init_params, spcnet_forward, stage_names,
+)
 from .optim import AdamState, ParamSet, adam_step, zero_grads
 from .rng import Rng
 from .tensor import Tensor, as_tensor, backward, constant, no_grad
@@ -21,6 +23,7 @@ from .tensor import Tensor, as_tensor, backward, constant, no_grad
 CUBE_CORNERS = np.array(
     [(x, y, z) for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)]
 )
+LR_DECAYS = ("none", "cosine")
 
 
 def chamfer(a: Tensor, b: Tensor) -> Tensor:
@@ -33,8 +36,7 @@ def chamfer(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("chamfer: clouds must be non-empty")
-    diff = a.data[:, None, :] - b.data[None, :, :]
-    d2 = np.sum(diff * diff, axis=-1)
+    d2 = pairwise_sq_dists(a.data, b.data)
     idx_ab = d2.argmin(axis=1)
     idx_ba = d2.argmin(axis=0)
     da = a - T.gather_rows(b, idx_ab)
@@ -117,28 +119,30 @@ def cycle_total_loss(
     cycle losses, whose passes consume first-pass outputs as fresh inputs so
     gradients flow through the full composition.
 
-    Returns (total, components) with components keyed loss1..loss4.
+    Returns (total, components) with components keyed loss1..loss4.  Each
+    direction's targets are sampled once: its cycle pass runs the same
+    network, so its stage counts match the direct pass.
     """
-    if loss_mode not in ("1L", "2L", "4L"):
+    if loss_mode not in LOSS_MODES:
         raise ValueError(f"unknown loss mode {loss_mode!r}")
     beta1, beta2 = weights.beta
 
     out_missing = complete_from_partial(Tensor(p_partial))
-    loss1 = stepwise_loss(out_missing, nested_targets(p_missing, out_missing.counts()), weights)
+    missing_targets = nested_targets(p_missing, out_missing.counts())
+    loss1 = stepwise_loss(out_missing, missing_targets, weights)
     if loss_mode == "1L":
         return loss1, {"loss1": loss1.item()}
 
     out_partial = complete_from_missing(Tensor(p_missing))
-    loss2 = stepwise_loss(out_partial, nested_targets(p_partial, out_partial.counts()), weights)
+    partial_targets = nested_targets(p_partial, out_partial.counts())
+    loss2 = stepwise_loss(out_partial, partial_targets, weights)
     direct = loss1 + loss2
     if loss_mode == "2L":
         total = direct * beta1
         return total, {"loss1": loss1.item(), "loss2": loss2.item()}
 
-    cycle_missing = complete_from_partial(out_partial.final)
-    loss4 = stepwise_loss(cycle_missing, nested_targets(p_missing, cycle_missing.counts()), weights)
-    cycle_partial = complete_from_missing(out_missing.final)
-    loss3 = stepwise_loss(cycle_partial, nested_targets(p_partial, cycle_partial.counts()), weights)
+    loss4 = stepwise_loss(complete_from_partial(out_partial.final), missing_targets, weights)
+    loss3 = stepwise_loss(complete_from_missing(out_missing.final), partial_targets, weights)
     total = direct * beta1 + (loss3 + loss4) * beta2
     return total, {
         "loss1": loss1.item(),
@@ -158,15 +162,15 @@ class TrainConfig:
     batch_size: int = 24
     lr: float = 1e-4
     seed: int = 0
-    lr_decay: str = "none"  # none | cosine
+    lr_decay: str = "none"  # one of LR_DECAYS
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr_decay not in ("none", "cosine"):
-            raise ValueError(f"lr_decay must be none or cosine, got {self.lr_decay!r}")
+        if self.lr_decay not in LR_DECAYS:
+            raise ValueError(f"lr_decay must be one of {LR_DECAYS}, got {self.lr_decay!r}")
 
     def lr_at(self, epoch: int) -> float:
         """Learning rate for a 1-based epoch; cosine decays to 2% of lr."""
@@ -200,11 +204,8 @@ class TrainResult:
 
 
 def _trace_keys(loss_mode: str) -> list:
-    return {
-        "1L": ["loss1"],
-        "2L": ["loss1", "loss2"],
-        "4L": ["loss1", "loss2", "loss3", "loss4"],
-    }[loss_mode]
+    # mode "<n>L" sums the n losses loss1..loss<n>
+    return [f"loss{i}" for i in range(1, int(loss_mode[:-1]) + 1)]
 
 
 def _is_shared_regime(config: ModelConfig) -> bool:
@@ -220,7 +221,8 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig) -> Trai
     shape is split at the configured ratio, and the configured loss applies;
     per-shape losses are averaged over a batch before each Adam step.
     Asymmetric splits under the cycle modes train a second parameter set for
-    the reverse direction jointly.
+    the reverse direction jointly.  A non-finite loss stops training with a
+    ValueError naming the (1-based) epoch and the (0-based) shape index.
     """
     shapes = dataset.shapes
     if not shapes:
@@ -259,17 +261,20 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig) -> Trai
             if rev_params is not None:
                 zero_grads(rev_params)
             batch_loss = None
-            for _, points in batch:
+            for index, (_, points) in enumerate(batch, start=start):
                 corner = CUBE_CORNERS[rng.randrange(len(CUBE_CORNERS))]
                 p_n, p_m = viewpoint_split(points, corner, model_config.missing_ratio)
                 loss, components = cycle_total_loss(
                     forward_missing, forward_partial, p_n, p_m, weights,
                     model_config.loss_mode,
                 )
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise ValueError(f"epoch {epoch}, shape {index}: non-finite loss")
                 batch_loss = loss if batch_loss is None else batch_loss + loss
                 for k in keys:
                     epoch_sums[k] += components[k]
-                epoch_total += loss.item()
+                epoch_total += value
             backward(batch_loss * (1.0 / len(batch)))
             lr = train_config.lr_at(epoch)
             adam_step(params, adam, lr=lr)

@@ -1,5 +1,7 @@
 """Checkpoint binary format and round-trip guarantees."""
 import struct
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -68,11 +70,43 @@ class TestRoundTrip:
         name = next(iter(ckpt.params))
         np.testing.assert_allclose(loaded.adam.m[name], 0.25, rtol=1e-6)
 
+    def test_every_config_field_round_trips_with_its_type(self, tmp_path):
+        config = ModelConfig(
+            points_per_shape=96, missing_ratio=0.25, down_rate=2, scm_count=2,
+            upsample_factors=(3, 1), grid_count=9, grid_r=0.125, knn_k=5,
+            conv_kind="edge", vmlp_kind="one_subnet", use_aggregation=False,
+            sampling_kind="rps", width_scale=0.0625, loss_mode="4L",
+            partial_substitution="pnk-pn",
+        )
+        config.validate()
+        assert all(getattr(config, f.name) != f.default for f in fields(ModelConfig))
+        path = tmp_path / "m.spcn"
+        save_checkpoint(Checkpoint(config=config, params={}), path)
+        loaded = load_checkpoint(path).config
+        assert loaded == config
+        for f in fields(ModelConfig):
+            assert type(getattr(loaded, f.name)) is type(f.default), f.name
+        assert all(type(u) is int for u in loaded.upsample_factors)
+
     def test_params_grad_enabled_after_load(self, tmp_path):
         path = tmp_path / "m.spcn"
         save_checkpoint(make_checkpoint(4), path)
         loaded = load_checkpoint(path)
         assert all(p.requires_grad for p in loaded.params.values())
+
+
+class TestAtomicSave:
+    def test_failed_save_leaves_existing_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "m.spcn"
+        save_checkpoint(make_checkpoint(8), path)
+        before = path.read_bytes()
+        ckpt = make_checkpoint(9)
+        # written last, after every real tensor: float32 cannot hold it
+        ckpt.params["zz.unstorable"] = SimpleNamespace(data=np.array([object()]))
+        with pytest.raises(TypeError):
+            save_checkpoint(ckpt, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.spcn"]
 
 
 class TestFormatErrors:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import spcnet.training
 from spcnet.checkpoint import load_checkpoint
 from spcnet.cli import main
 from spcnet.data import read_xyz, write_xyz
@@ -88,6 +89,33 @@ class TestTrain:
             "--loss-mode", "2l",
         ]) == 0
         assert load_checkpoint(ckpt).config.loss_mode == "2L"
+
+    @pytest.mark.parametrize("flag", ["--points", "--width-scale", "--knn-k"])
+    @pytest.mark.parametrize("command", [["train"], ["ablate", "--variant", "no-agg"]])
+    def test_removed_flag_is_usage_error(self, tmp_path, command, flag):
+        assert main([
+            *command, "--data", str(tmp_path), "--out", str(tmp_path / "m.spcn"),
+            "--epochs", "1", flag, "8",
+        ]) == 2
+
+    def test_non_finite_loss_fails_with_one_line_error(
+        self, tmp_path, data_dir, config_file, monkeypatch, capsys
+    ):
+        init_params = spcnet.training.init_params
+
+        def poisoned(config, seed):
+            params = init_params(config, seed)
+            params["coarse.dec.l1.b"].data[:] = np.nan
+            return params
+
+        monkeypatch.setattr(spcnet.training, "init_params", poisoned)
+        capsys.readouterr()
+        assert main([
+            "train", "--data", str(data_dir), "--out", str(tmp_path / "m.spcn"),
+            "--epochs", "1", "--config", str(config_file),
+        ]) == 1
+        assert capsys.readouterr().err == "error: epoch 1, shape 0: non-finite loss\n"
+        assert not (tmp_path / "m.spcn").exists()
 
     def test_unknown_config_key_fails(self, tmp_path, data_dir):
         bad = tmp_path / "bad.json"
