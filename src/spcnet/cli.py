@@ -41,15 +41,39 @@ def _parse_viewpoint(text: str):
     return tuple(float(p) for p in parts)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# type of a config field's default -> (test of a JSON value, what it expects)
+_CONFIG_VALUE_TYPES = {
+    tuple: (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (_is_int, "an integer"),
+    float: (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def _config_from_args(args) -> ModelConfig:
     config = ModelConfig()
     if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
-        known = {f.name for f in dataclass_fields(ModelConfig)}
-        unknown = set(overrides) - known
+        if not isinstance(overrides, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+        defaults = {f.name: f.default for f in dataclass_fields(ModelConfig)}
+        unknown = set(overrides) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in overrides.items():
+            accepts, expected = _CONFIG_VALUE_TYPES[type(defaults[name])]
+            if not accepts(value):
+                raise ValueError(
+                    f"config key {name}: expected {expected}, got {json.dumps(value)}"
+                )
+            if isinstance(defaults[name], float):
+                overrides[name] = float(value)
         config = replace(config, **overrides)
     if args.missing_ratio is not None:
         config = replace(config, missing_ratio=args.missing_ratio)

@@ -14,10 +14,46 @@ import numpy as np
 from .rng import Rng
 
 
+# Query rows per block are chosen so that one block's [rows, r] float64
+# distance matrix takes about this many bytes.
+_BLOCK_BYTES = 2 << 20
+
+
+def _columns(cloud: np.ndarray) -> np.ndarray:
+    """[3, n] contiguous coordinate columns of an [n, 3] cloud."""
+    return np.ascontiguousarray(np.asarray(cloud, dtype=np.float64).T)
+
+
+def _sq_dists(query_cols: np.ndarray, ref_cols: np.ndarray) -> np.ndarray:
+    """[q, r] squared distances between clouds given as coordinate columns.
+
+    Summed one coordinate at a time as ``(dx² + dy²) + dz²``: the order
+    ``np.sum`` takes over the last axis of a [q, r, 3] difference array, so
+    the values match that formula bit for bit without building it.
+    """
+    d2 = np.subtract.outer(query_cols[0], ref_cols[0])
+    d2 *= d2
+    step = np.empty_like(d2)
+    for qc, rc in zip(query_cols[1:], ref_cols[1:]):
+        np.subtract.outer(qc, rc, out=step)
+        step *= step
+        d2 += step
+    return d2
+
+
 def pairwise_sq_dists(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """[q, r] squared Euclidean distances between two clouds."""
-    diff = query[:, None, :] - reference[None, :, :]
-    return np.sum(diff * diff, axis=-1)
+    return _sq_dists(_columns(query), _columns(reference))
+
+
+def _distance_blocks(query: np.ndarray, reference: np.ndarray):
+    """Yield (first query row, [rows, r] squared distances) over blocks of
+    query rows, each block about ``_BLOCK_BYTES`` of distances; the reference
+    cloud must be non-empty."""
+    query_cols, ref_cols = _columns(query), _columns(reference)
+    rows = max(1, _BLOCK_BYTES // (8 * ref_cols.shape[1]))
+    for start in range(0, query_cols.shape[1], rows):
+        yield start, _sq_dists(query_cols[:, start:start + rows], ref_cols)
 
 
 def fps(cloud: np.ndarray, n: int) -> np.ndarray:
@@ -30,15 +66,22 @@ def fps(cloud: np.ndarray, n: int) -> np.ndarray:
     total = cloud.shape[0]
     if not 1 <= n <= total:
         raise ValueError(f"fps: target count {n} outside [1, {total}]")
+    cols = _columns(cloud)
     centroid = cloud.mean(axis=0)
-    start = int(np.argmin(np.sum((cloud - centroid) ** 2, axis=1)))
+    start = int(np.argmin(_sq_dists(centroid[:, None], cols)))
     selected = np.empty(n, dtype=np.intp)
     selected[0] = start
-    dmin = np.sum((cloud - cloud[start]) ** 2, axis=1)
+    dmin = _sq_dists(cols[:, start:start + 1], cols)[0]
+    diff, d2 = np.empty_like(cols), np.empty_like(dmin)
     for i in range(1, n):
         nxt = int(np.argmax(dmin))
         selected[i] = nxt
-        np.minimum(dmin, np.sum((cloud - cloud[nxt]) ** 2, axis=1), out=dmin)
+        # _sq_dists to one point, in fewer calls: (dx² + dy²) + dz²
+        np.subtract(cols, cols[:, nxt:nxt + 1], out=diff)
+        diff *= diff
+        np.add(diff[0], diff[1], out=d2)
+        d2 += diff[2]
+        np.minimum(dmin, d2, out=dmin)
     return selected
 
 
@@ -72,20 +115,45 @@ def knn(
     limit = reference.shape[0] - (1 if self_query else 0)
     if not 1 <= k <= limit:
         raise ValueError(f"knn: k={k} exceeds available neighbors ({limit})")
-    d2 = pairwise_sq_dists(query, reference)
-    if self_query:
-        np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return NeighborGraph(neighbors=order[:, :k].astype(np.intp))
+    neighbors = np.empty((query.shape[0], k), dtype=np.intp)
+    for start, d2 in _distance_blocks(query, reference):
+        if self_query:
+            # as fill_diagonal on the full matrix: entry (i, i) for i < min(q, r)
+            rows = np.arange(min(d2.shape[0], d2.shape[1] - start))
+            d2[rows, start + rows] = np.inf
+        neighbors[start:start + d2.shape[0]] = _k_smallest(d2, k)
+    return NeighborGraph(neighbors=neighbors)
+
+
+def _k_smallest(d2: np.ndarray, k: int) -> np.ndarray:
+    """[rows, k] column indices of each row's k smallest entries, ordered by
+    (value, index): the first k columns of a stable argsort."""
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    below = d2 <= kth
+    # exactly k entries at or below the k-th value: those are the k smallest;
+    # more means a tie at the boundary, fewer a NaN row
+    exact = np.count_nonzero(below, axis=1) == k
+    out = np.empty((d2.shape[0], k), dtype=np.intp)
+    rows = np.flatnonzero(exact)
+    cols = np.nonzero(below[rows])[1].reshape(-1, k)
+    order = np.argsort(d2[rows[:, None], cols], axis=1, kind="stable")
+    out[rows] = np.take_along_axis(cols, order, axis=1)
+    rest = np.flatnonzero(~exact)
+    out[rest] = np.argsort(d2[rest], axis=1, kind="stable")[:, :k]
+    return out
 
 
 def nearest_index(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Index of each query point's single nearest reference point."""
+    """Index of each query point's single nearest reference point (the
+    lowest index among equally near ones)."""
     query = np.asarray(query, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     if reference.shape[0] == 0:
         raise ValueError("nearest_index: reference cloud is empty")
-    return np.argmin(pairwise_sq_dists(query, reference), axis=1).astype(np.intp)
+    nearest = np.empty(query.shape[0], dtype=np.intp)
+    for start, d2 in _distance_blocks(query, reference):
+        nearest[start:start + d2.shape[0]] = d2.argmin(axis=1)
+    return nearest
 
 
 def viewpoint_split_indices(

@@ -125,6 +125,43 @@ class TestTrain:
             "--epochs", "1", "--config", str(bad),
         ]) == 1
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"knn_k": "4"}, 'config key knn_k: expected an integer, got "4"'),
+        ({"knn_k": 4.0}, "config key knn_k: expected an integer, got 4.0"),
+        ({"knn_k": True}, "config key knn_k: expected an integer, got true"),
+        ({"upsample_factors": 4}, "config key upsample_factors: expected a list of integers, got 4"),
+        ({"upsample_factors": [2, "2", 1]},
+         'config key upsample_factors: expected a list of integers, got [2, "2", 1]'),
+        ({"use_aggregation": 1}, "config key use_aggregation: expected true or false, got 1"),
+        ({"grid_r": "0.05"}, 'config key grid_r: expected a number, got "0.05"'),
+        ({"conv_kind": None}, "config key conv_kind: expected a string, got null"),
+        ([1, 2], "config must be a JSON object"),
+    ])
+    def test_config_value_of_wrong_type_fails_with_one_line_error(
+        self, tmp_path, overrides, message, capsys
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(overrides))
+        capsys.readouterr()
+        assert main([
+            "train", "--data", str(tmp_path), "--out", str(tmp_path / "m.spcn"),
+            "--epochs", "1", "--config", str(bad),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"{message}\n")
+        assert err.count("\n") == 1
+
+    def test_int_config_value_accepted_for_float_field(self, tmp_path, data_dir):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_OVERRIDES, "grid_r": 1}))
+        ckpt = tmp_path / "m.spcn"
+        assert main([
+            "train", "--data", str(data_dir), "--out", str(ckpt),
+            "--epochs", "1", "--config", str(config),
+        ]) == 0
+        grid_r = load_checkpoint(ckpt).config.grid_r
+        assert grid_r == 1.0 and isinstance(grid_r, float)
+
 
 class TestComplete:
     def test_output_contains_partial_verbatim_then_prediction(self, trained, tmp_path):

@@ -10,6 +10,7 @@ from spcnet.geometry import (
     knn,
     nearest_index,
     normalize_cloud,
+    pairwise_sq_dists,
     rps,
     viewpoint_split,
     viewpoint_split_indices,
@@ -30,14 +31,37 @@ def fps_reference(points, n):
         if d < best_d:
             best, best_d = i, d
     selected = [best]
+    # distance from each point to its nearest selected point
+    nearest = [np.sum((p - points[best]) ** 2) for p in points]
     for _ in range(n - 1):
         far_idx, far_d = 0, -np.inf
-        for i in range(points.shape[0]):
-            d = min(np.sum((points[i] - points[j]) ** 2) for j in selected)
+        for i, d in enumerate(nearest):
             if d > far_d:
                 far_idx, far_d = i, d
         selected.append(far_idx)
+        for i in range(points.shape[0]):
+            nearest[i] = min(nearest[i], np.sum((points[i] - points[far_idx]) ** 2))
     return selected
+
+
+def difference_sq_dists(query, reference):
+    """The [q, r, 3] difference formula that ``pairwise_sq_dists`` must match."""
+    diff = query[:, None, :] - reference[None, :, :]
+    return np.sum(diff * diff, axis=-1)
+
+
+def knn_reference(query, reference, k, exclude_self):
+    """Brute-force (distance, index) ranking; with ``exclude_self`` row i
+    skips column i."""
+    d2 = difference_sq_dists(query, reference)
+    columns = np.arange(reference.shape[0])
+    out = []
+    for i, row in enumerate(d2):
+        ranked = np.lexsort((columns, row))
+        if exclude_self:
+            ranked = ranked[ranked != i]
+        out.append(ranked[:k])
+    return np.array(out, dtype=np.intp).reshape(query.shape[0], k)
 
 
 class TestFps:
@@ -56,6 +80,11 @@ class TestFps:
     def test_matches_naive_greedy_reference(self, seed):
         pts = cloud(200, seed)
         assert list(fps(pts, 50)) == fps_reference(pts, 50)
+
+    @pytest.mark.parametrize("size, count", [(300, 290), (257, 257), (400, 399)])
+    def test_matches_reference_close_to_cloud_size(self, size, count):
+        pts = cloud(size, size)
+        assert list(fps(pts, count)) == fps_reference(pts, count)
 
     def test_out_of_range_counts(self):
         pts = cloud(5, 1)
@@ -151,6 +180,51 @@ class TestKnn:
         with pytest.raises(ValueError):
             knn(pts, pts, 4)
 
+    # 1100 rows against 1100 take five query blocks of about 2 MB of
+    # distances, 3000 against 200 three, 200 against 3000 three; the clouds
+    # share their first rows, so row i's own point is column i
+    @pytest.mark.parametrize("q, r, exclude_self", [
+        (1100, 1100, True), (3000, 200, False), (3000, 200, True), (200, 3000, True),
+    ])
+    def test_many_blocks_match_brute_force(self, q, r, exclude_self):
+        pts = cloud(max(q, r), 20)
+        query, reference = pts[:q], pts[:r]
+        graph = knn(query, reference, 16, exclude_self=exclude_self)
+        np.testing.assert_array_equal(
+            graph.neighbors, knn_reference(query, reference, 16, exclude_self)
+        )
+
+    def test_ties_at_kth_distance_break_to_lowest_index(self):
+        # a rounded lattice: many points share each distance
+        pts = np.round(cloud(1500, 22) * 3.0) / 3.0
+        d2 = difference_sq_dists(pts, pts)
+        np.fill_diagonal(d2, np.inf)
+        kth = np.sort(d2, axis=1)[:, 11:12]
+        assert np.mean(np.sum(d2 <= kth, axis=1) > 12) > 0.5  # most rows tie
+        np.testing.assert_array_equal(
+            knn(pts, pts, 12).neighbors, knn_reference(pts, pts, 12, True)
+        )
+
+    def test_copy_with_explicit_exclude_self(self):
+        pts = cloud(600, 23)
+        np.testing.assert_array_equal(
+            knn(pts, pts.copy(), 8, exclude_self=True).neighbors,
+            knn_reference(pts, pts, 8, True),
+        )
+
+
+class TestPairwiseSqDists:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_identical_to_difference_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        # coordinates over six decades, so a different summation order
+        # would change the last bits of many entries
+        query = rng.uniform(-1, 1, (300, 3)) * 10.0 ** rng.uniform(-3, 3, (300, 3))
+        reference = rng.uniform(-1, 1, (500, 3)) * 10.0 ** rng.uniform(-3, 3, (500, 3))
+        assert np.array_equal(
+            pairwise_sq_dists(query, reference), difference_sq_dists(query, reference)
+        )
+
 
 class TestNearestIndex:
     def test_self_query_is_identity(self):
@@ -177,6 +251,15 @@ class TestNearestIndex:
     def test_empty_reference(self):
         with pytest.raises(ValueError):
             nearest_index(cloud(3, 11), np.empty((0, 3)))
+
+    def test_many_blocks_keep_first_minimum(self):
+        # 3000 rows against 200 take three query blocks; rounding to a
+        # lattice repeats reference points, so many rows have tied minima
+        query = np.round(cloud(3000, 25) * 2.0) / 2.0
+        reference = np.round(cloud(200, 26) * 2.0) / 2.0
+        d2 = difference_sq_dists(query, reference)
+        assert np.mean(np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1) > 1) > 0.5
+        np.testing.assert_array_equal(nearest_index(query, reference), d2.argmin(axis=1))
 
 
 class TestViewpointSplit:
@@ -243,3 +326,12 @@ class TestNormalizeCloud:
             normalize_cloud(np.ones((5, 3)))
         with pytest.raises(ValueError):
             normalize_cloud(np.ones((1, 3)))
+
+
+@pytest.mark.parametrize("kernel", ["knn", "fps"])
+def test_kernel_speed_at_2048_points(benchmark, kernel):
+    """Micro-benchmark of one kernel call at the paper's resolution; records
+    time only."""
+    pts = cloud(2048, 24)
+    call = {"knn": lambda: knn(pts, pts, 16), "fps": lambda: fps(pts, 1024)}[kernel]
+    benchmark.pedantic(call, rounds=3, iterations=1)
