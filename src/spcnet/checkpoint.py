@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ModelConfig
+from .model import ModelConfig, init_params
 from .optim import AdamState, ParamSet
 from .tensor import Tensor
 
@@ -167,11 +167,24 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: {len(blob) - r.offset} trailing bytes at offset {r.offset}"
         )
 
-    params: ParamSet = {
-        n: Tensor(a, requires_grad=True) for n, a in raw.items() if not n.startswith("adam.")
-    }
+    # exactly the tensors the config registers, with their Adam moments
+    # when the file says it holds them
+    has_adam = extras.get("has_adam") == "True"
+    layout = {n: p.shape for n, p in init_params(config, None).items()}
+    expected = dict(layout)
+    if has_adam:
+        expected.update((f"adam.{s}.{n}", shape) for s in "mv" for n, shape in layout.items())
+    for name, shape in expected.items():
+        if name not in raw:
+            raise CheckpointError(f"{path}: missing tensor {name!r}")
+        if raw[name].shape != shape:
+            raise CheckpointError(f"{path}: tensor {name!r} is {raw[name].shape}, not {shape}")
+    for name in raw:
+        if name not in expected:
+            raise CheckpointError(f"{path}: unexpected tensor {name!r}")
+    params: ParamSet = {n: Tensor(raw[n], requires_grad=True) for n in layout}
     adam = None
-    if extras.get("has_adam") == "True":
+    if has_adam:
         adam = AdamState(
             m={n: raw[f"adam.m.{n}"] for n in params},
             v={n: raw[f"adam.v.{n}"] for n in params},

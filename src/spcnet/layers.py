@@ -166,6 +166,7 @@ def graph_conv(
     prefix: str,
     m_out: int,
 ) -> Tensor:
+    """Convolution ``kind`` (a ``CONVS`` key) over a cloud's graph on itself."""
     coords, features = as_tensor(coords), as_tensor(features)
     if graph.neighbors.shape[0] != coords.shape[0]:
         raise ValueError(
@@ -177,17 +178,6 @@ def graph_conv(
     )
 
 
-def adaptconv(coords, features, graph, params, prefix, m_out) -> Tensor:
-    """Adaptive graph convolution: a per-edge kernel generated from the
-    coordinate pair, dotted with [f_i, f_j - f_i], max-pooled over neighbors."""
-    return graph_conv("adapt", coords, features, graph, params, prefix, m_out)
-
-
-def edgeconv(coords, features, graph, params, prefix, m_out) -> Tensor:
-    """Fixed-kernel edge convolution over [f_i, f_j - f_i]."""
-    return graph_conv("edge", coords, features, graph, params, prefix, m_out)
-
-
 def graph_pool(
     coords: Tensor,
     features: Tensor,
@@ -196,7 +186,7 @@ def graph_pool(
     params: ParamSet,
     prefix: str,
     out_width: int,
-    kind: str = "adapt",
+    kind: str,
 ) -> tuple[Tensor, Tensor]:
     """Reduce the cloud to ``pool_n`` points chosen by farthest point sampling,
     re-aggregating each kept point's feature by one graph convolution over its
@@ -286,7 +276,6 @@ class VmlpSpec:
     adjust_width: int
     out_width: int
     kind: str = "vmlp"  # one of VMLP_KINDS
-    knn_k: int = 16
 
     def __post_init__(self):
         if self.kind not in VMLP_KINDS:
@@ -321,6 +310,7 @@ def vmlp_params(pb: ParamBuilder, prefix: str, spec: VmlpSpec) -> None:
 
 def vmlp(
     points: Tensor,
+    graph: NeighborGraph,
     params: ParamSet,
     prefix: str,
     spec: VmlpSpec,
@@ -331,14 +321,14 @@ def vmlp(
     Each sub-net runs over the full coordinates; the last four layer outputs
     are max-pooled and concatenated, adjusted by a linear layer, repeated per
     point, paired with one coordinate column, and the joined blocks pass
-    through a final adaptive convolution.
+    through a final adaptive convolution over ``graph``, the cloud's graph
+    on itself.
     """
     points = as_tensor(points)
     n = points.shape[0]
     if n < 2:
         raise ValueError(f"vmlp: need at least 2 points, got {n}")
     n_subs, dims, _, _, _ = _vmlp_layout(spec)
-    graph = knn(points.data, points.data, self_knn_k(spec.knn_k, n))
 
     pooled_vectors = []
     blocks = []
@@ -360,7 +350,7 @@ def vmlp(
         else:
             blocks.append(T.concat([repeated, points], axis=1))
     per_point = T.concat(blocks, axis=1) if len(blocks) > 1 else blocks[0]
-    out = adaptconv(points, per_point, graph, params, f"{prefix}.conv", spec.out_width)
+    out = graph_conv("adapt", points, per_point, graph, params, f"{prefix}.conv", spec.out_width)
     return (out, pooled_vectors) if return_pooled else out
 
 

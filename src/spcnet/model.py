@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from . import layers as L
-from .geometry import fps, knn, rps
+from .geometry import NeighborGraph, fps, knn, rps
 from .optim import ParamBuilder, ParamSet
 from .rng import Rng
 from .tensor import Tensor, as_tensor
@@ -160,7 +160,6 @@ def vmlp_spec(config: ModelConfig) -> L.VmlpSpec:
         adjust_width=w.vmlp_adjust,
         out_width=w.global_width,
         kind=config.vmlp_kind,
-        knn_k=config.knn_k,
     )
 
 
@@ -241,13 +240,14 @@ def acm_forward(
     whole: Tensor,
     p_missing: Tensor,
     pointwise_global: Tensor,
+    graph: NeighborGraph,
     upsample_k: int,
     params: ParamSet,
     prefix: str,
     config: ModelConfig,
 ) -> Tensor:
-    """Graph-convolution encoder over the joined cloud, a detailed point-wise
-    local feature, and a folding head over the trailing predicted block."""
+    """Graph-convolution encoder over the joined cloud's ``graph``, a detailed
+    point-wise local feature, and a folding head over the trailing block."""
     whole = as_tensor(whole)
     p_missing = as_tensor(p_missing)
     n = whole.shape[0]
@@ -260,8 +260,6 @@ def acm_forward(
         )
     w = width_schedule(config.width_scale)
     kind = config.conv_kind
-    k = L.self_knn_k(config.knn_k, n)
-    graph = knn(whole.data, whole.data, k)
     f0 = L.graph_conv(
         kind, whole, pointwise_global, graph, params, f"{prefix}.conv0", w.encoder[0]
     )
@@ -295,15 +293,16 @@ def scm_forward(
     params: ParamSet,
     config: ModelConfig,
 ):
-    """One refinement stage: join partial and coarse clouds, extract the
-    point-wise global feature, merge the previous stage's hand-off when the
-    stage aggregates, and emit the refined cloud plus this stage's hand-off
-    (the joined cloud's coordinates and its point-wise feature)."""
+    """One refinement stage: join partial and coarse clouds, build their graph
+    on itself for the VMLP and the ACM, extract the point-wise global feature,
+    merge the previous stage's hand-off when the stage aggregates, and emit
+    the refined cloud plus this stage's hand-off (coordinates and feature)."""
     merge = _aggregates(stage_index, config)
     if merge and prev_handoff is None:
         raise ValueError(f"scm{stage_index}: previous hand-off feature required")
     whole = T.concat([as_tensor(p_partial), as_tensor(p_coarse)], axis=0)
-    f_hat = L.vmlp(whole, params, f"scm{stage_index}.vmlp", vmlp_spec(config))
+    graph = knn(whole.data, whole.data, L.self_knn_k(config.knn_k, whole.shape[0]))
+    f_hat = L.vmlp(whole, graph, params, f"scm{stage_index}.vmlp", vmlp_spec(config))
     if merge:
         prev_points, prev_feats = prev_handoff
         feat = L.aggregate_prev(
@@ -312,7 +311,7 @@ def scm_forward(
     else:
         feat = f_hat
     refined = acm_forward(
-        whole, p_coarse, feat, config.upsample_factors[stage_index],
+        whole, p_coarse, feat, graph, config.upsample_factors[stage_index],
         params, f"scm{stage_index}.acm", config,
     )
     return refined, (whole.data, feat)
@@ -362,11 +361,12 @@ def spcnet_forward(
 # parameter initialization
 # ---------------------------------------------------------------------------
 
-def init_params(config: ModelConfig, seed: int) -> ParamSet:
-    """Every parameter of every stage, in a fixed walk order under one seed."""
+def init_params(config: ModelConfig, seed: int | None) -> ParamSet:
+    """Every parameter of every stage, in a fixed walk order under one seed;
+    ``seed=None`` draws nothing and leaves weights zero (the layout alone)."""
     config.validate()
     w = width_schedule(config.width_scale)
-    pb = ParamBuilder(Rng(seed))
+    pb = ParamBuilder(None if seed is None else Rng(seed))
 
     enc_out = L.shared_mlp_params(pb, "coarse.enc", 3, L.LayerSpec(w.coarse_enc))
     pb.weight("coarse.dec.l0.w", enc_out, w.coarse_hidden)

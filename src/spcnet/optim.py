@@ -67,6 +67,7 @@ class ParamBuilder:
 
     Weights are uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases zero,
     batch-norm scale one / shift zero, so a seed fully determines the set.
+    Without an rng (``None``) weights are zero, giving the layout alone.
     """
 
     def __init__(self, rng):
@@ -79,6 +80,9 @@ class ParamBuilder:
         self.entries[name] = Tensor(data, requires_grad=True)
 
     def weight(self, name: str, fan_in: int, fan_out: int) -> None:
+        if self.rng is None:
+            self._add(name, np.zeros((fan_in, fan_out)))
+            return
         bound = 1.0 / np.sqrt(fan_in)
         self._add(name, self.rng.uniform_array((fan_in, fan_out), -bound, bound))
 

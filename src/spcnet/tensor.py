@@ -90,9 +90,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def __len__(self) -> int:
-        return self.data.shape[0]
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -121,9 +118,6 @@ class Tensor:
 
         return Tensor._node(out_data, (self, other), bwd)
 
-    def __rsub__(self, other):
-        return as_tensor(other).__sub__(self)
-
     def __mul__(self, other):
         other = as_tensor(other)
         out_data = self.data * other.data
@@ -150,12 +144,6 @@ class Tensor:
 
     def __rtruediv__(self, other):
         return as_tensor(other).__truediv__(self)
-
-    def __neg__(self):
-        def bwd(g):
-            self._accumulate(-g)
-
-        return Tensor._node(-self.data, (self,), bwd)
 
     def pow(self, exponent: float) -> "Tensor":
         out_data = self.data ** exponent

@@ -168,14 +168,14 @@ class TestCriterion1GradientSuite:
         with grad_budget(), criterion(1, "gradients: gather_rows"):
             self._run(build)
 
-    def _conv_build(self, offset, conv):
+    def _conv_build(self, offset, kind):
         def build(i):
             rng = np.random.default_rng(offset + i)
             n = int(rng.integers(4, 32))
             k = int(rng.integers(1, min(6, n - 1) + 1))
             d, m = int(rng.integers(1, 4)), int(rng.integers(1, 5))
             pb = ParamBuilder(Rng(offset + i))
-            if conv is L.adaptconv:
+            if kind == "adapt":
                 L.adaptconv_params(pb, "c", d, m)
             else:
                 L.edgeconv_params(pb, "c", d, m)
@@ -188,7 +188,7 @@ class TestCriterion1GradientSuite:
             )
 
             def f(p):
-                return probe(conv(p["coords"], p["feats"], graph, p, "c", m), i)
+                return probe(L.graph_conv(kind, p["coords"], p["feats"], graph, p, "c", m), i)
 
             return f, pb.entries
 
@@ -196,11 +196,11 @@ class TestCriterion1GradientSuite:
 
     def test_adaptconv(self):
         with grad_budget(), criterion(1, "gradients: adaptconv"):
-            self._run(self._conv_build(500, L.adaptconv))
+            self._run(self._conv_build(500, "adapt"))
 
     def test_edgeconv(self):
         with grad_budget(), criterion(1, "gradients: edgeconv"):
-            self._run(self._conv_build(600, L.edgeconv))
+            self._run(self._conv_build(600, "edge"))
 
     def test_interpolate_up(self):
         def build(i):
@@ -239,14 +239,15 @@ class TestCriterion1GradientSuite:
             self._run(build)
 
     def test_vmlp(self):
-        spec = L.VmlpSpec(sub_dims=(2, 3, 4, 4, 5), adjust_width=2, out_width=4, knn_k=4)
+        spec = L.VmlpSpec(sub_dims=(2, 3, 4, 4, 5), adjust_width=2, out_width=4)
 
         def build(i):
             pb = ParamBuilder(Rng(900 + i))
             L.vmlp_params(pb, "v", spec)
             jitter(pb.entries, 900 + i)
             pts = cloud(int(np.random.default_rng(900 + i).integers(5, 16)), 900 + i)
-            return (lambda p: probe(L.vmlp(Tensor(pts), p, "v", spec), i)), pb.entries
+            graph = knn(pts, pts, L.self_knn_k(4, pts.shape[0]))
+            return (lambda p: probe(L.vmlp(Tensor(pts), graph, p, "v", spec), i)), pb.entries
 
         with grad_budget(), criterion(1, "gradients: vmlp"):
             self._run(build, coord_limit=10, rng=Rng(99))
@@ -423,11 +424,11 @@ class TestCriterion2Oracles:
             pb = ParamBuilder(Rng(4000 + i))
             if conv_kind == "adapt":
                 L.adaptconv_params(pb, "c", d, m)
-                got = L.adaptconv(Tensor(pts), Tensor(fs), graph, pb.entries, "c", m)
+                got = L.graph_conv("adapt", Tensor(pts), Tensor(fs), graph, pb.entries, "c", m)
                 ref = adaptconv_reference(pts, fs, graph.neighbors, pb.entries, "c", m)
             else:
                 L.edgeconv_params(pb, "c", d, m)
-                got = L.edgeconv(Tensor(pts), Tensor(fs), graph, pb.entries, "c", m)
+                got = L.graph_conv("edge", Tensor(pts), Tensor(fs), graph, pb.entries, "c", m)
                 ref = edgeconv_reference(fs, graph.neighbors, pb.entries["c.theta"].data, m)
             np.testing.assert_allclose(got.data, ref, rtol=1e-12, atol=1e-14)
 

@@ -81,7 +81,7 @@ class TestRoundTrip:
         config.validate()
         assert all(getattr(config, f.name) != f.default for f in fields(ModelConfig))
         path = tmp_path / "m.spcn"
-        save_checkpoint(Checkpoint(config=config, params={}), path)
+        save_checkpoint(Checkpoint(config=config, params=init_params(config, 0)), path)
         loaded = load_checkpoint(path).config
         assert loaded == config
         for f in fields(ModelConfig):
@@ -149,3 +149,57 @@ class TestFormatErrors:
         config = blob[12:12 + config_len].decode("utf-8")
         assert "missing_ratio=0.5" in config
         assert "has_adam=False" in config
+
+
+def rewrite_config_block(path, old: bytes, new: bytes) -> None:
+    blob = path.read_bytes()
+    size = struct.unpack("<I", blob[8:12])[0]
+    block = blob[12:12 + size].replace(old, new)
+    path.write_bytes(blob[:8] + struct.pack("<I", len(block)) + block + blob[12 + size:])
+
+
+class TestLayoutErrors:
+    """A load names the first tensor that does not match the layout the
+    stored config registers."""
+
+    def save(self, tmp_path, ckpt):
+        path = tmp_path / "m.spcn"
+        save_checkpoint(ckpt, path)
+        return path
+
+    def test_missing_tensor(self, tmp_path):
+        ckpt = make_checkpoint(10)
+        del ckpt.params["scm1.agg.w"]
+        path = self.save(tmp_path, ckpt)
+        with pytest.raises(CheckpointError, match="missing tensor 'scm1.agg.w'"):
+            load_checkpoint(path)
+
+    def test_unexpected_tensor(self, tmp_path):
+        ckpt = make_checkpoint(11)
+        ckpt.params["scm0.extra.w"] = Tensor(np.zeros((2, 2)))
+        path = self.save(tmp_path, ckpt)
+        with pytest.raises(CheckpointError, match="unexpected tensor 'scm0.extra.w'"):
+            load_checkpoint(path)
+
+    def test_misshapen_tensor(self, tmp_path):
+        ckpt = make_checkpoint(12)
+        expected = ckpt.params["scm1.agg.b"].shape
+        ckpt.params["scm1.agg.b"] = Tensor(np.zeros(expected[0] + 1))
+        path = self.save(tmp_path, ckpt)
+        message = rf"tensor 'scm1.agg.b' is \({expected[0] + 1},\), not \({expected[0]},\)"
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_missing_adam_moment(self, tmp_path):
+        path = self.save(tmp_path, make_checkpoint(13))
+        rewrite_config_block(path, b"has_adam=False", b"has_adam=True")
+        first = next(iter(init_params(TINY, 0)))
+        with pytest.raises(CheckpointError, match=f"missing tensor 'adam.m.{first}'"):
+            load_checkpoint(path)
+
+    def test_moments_without_has_adam_are_unexpected(self, tmp_path):
+        path = self.save(tmp_path, make_checkpoint(14, with_adam=True))
+        rewrite_config_block(path, b"has_adam=True", b"has_adam=False")
+        first = next(iter(init_params(TINY, 0)))
+        with pytest.raises(CheckpointError, match=f"unexpected tensor 'adam.m.{first}'"):
+            load_checkpoint(path)

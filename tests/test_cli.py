@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import spcnet.training
-from spcnet.checkpoint import load_checkpoint
+from spcnet.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from spcnet.cli import main
 from spcnet.data import read_xyz, write_xyz
+from spcnet.model import ModelConfig, init_params
 
 TINY_OVERRIDES = {
     "points_per_shape": 64,
@@ -206,6 +207,28 @@ class TestComplete:
             "--out", str(tmp_path / "o.xyz"),
         ]) == 1
         assert capsys.readouterr().err == f"error: {src}:5: non-finite coordinate\n"
+        assert not (tmp_path / "o.xyz").exists()
+
+
+class TestCheckpointLayout:
+    @pytest.mark.parametrize("command", ["complete", "eval"])
+    def test_missing_tensor_fails_with_one_line_error(
+        self, command, tmp_path, data_dir, capsys
+    ):
+        config = ModelConfig(**TINY_OVERRIDES)
+        params = init_params(config, 0)
+        del params["scm1.agg.w"]
+        ckpt = tmp_path / "m.spcn"
+        save_checkpoint(Checkpoint(config=config, params=params), ckpt)
+        src = tmp_path / "partial.xyz"
+        write_xyz(np.random.default_rng(2).uniform(-1, 1, (config.partial_count, 3)), src)
+        rest = {
+            "complete": ["--in", str(src), "--out", str(tmp_path / "o.xyz")],
+            "eval": ["--data", str(data_dir)],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--ckpt", str(ckpt), *rest]) == 1
+        assert capsys.readouterr().err == f"error: {ckpt}: missing tensor 'scm1.agg.w'\n"
         assert not (tmp_path / "o.xyz").exists()
 
 

@@ -19,6 +19,11 @@ def feats(n, d, seed):
     return np.random.default_rng(seed).standard_normal((n, d))
 
 
+def self_graph(pts, k):
+    """The graph a refinement stage builds on its joined cloud."""
+    return knn(pts, pts, L.self_knn_k(k, pts.shape[0]))
+
+
 def leaky(x, slope=0.2):
     return np.where(x > 0, x, slope * x)
 
@@ -109,7 +114,7 @@ class TestAdaptConv:
         pb.entries["c.g.l1.b"].data[:] = 0.0
         pts = cloud(8, 4)
         graph = knn(pts, pts, 3)
-        out = L.adaptconv(Tensor(pts), Tensor(feats(8, 2, 4)), graph, pb.entries, "c", 3)
+        out = L.graph_conv("adapt", Tensor(pts), Tensor(feats(8, 2, 4)), graph, pb.entries, "c", 3)
         np.testing.assert_array_equal(out.data, np.zeros((8, 3)))
 
     def test_single_edge_hand_evaluation(self):
@@ -128,7 +133,7 @@ class TestAdaptConv:
         kernel = np.array([hidden[0] * 1.0 + 0.25, hidden[0] * -1.0])  # [1.45, -1.2]
         df = np.array([2.0, 3.0])  # [f_0, f_1 - f_0]
         expected_0 = leaky(np.array([kernel @ df]))[0]
-        out = L.adaptconv(Tensor(pts), Tensor(f), graph, params, "c", 1)
+        out = L.graph_conv("adapt", Tensor(pts), Tensor(f), graph, params, "c", 1)
         assert out.data[0, 0] == pytest.approx(expected_0, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -138,7 +143,7 @@ class TestAdaptConv:
         pts = cloud(16, seed)
         fs = feats(16, 3, seed + 50)
         graph = knn(pts, pts, 4)
-        out = L.adaptconv(Tensor(pts), Tensor(fs), graph, pb.entries, "c", 5)
+        out = L.graph_conv("adapt", Tensor(pts), Tensor(fs), graph, pb.entries, "c", 5)
         ref = adaptconv_reference(pts, fs, graph.neighbors, pb.entries, "c", 5)
         np.testing.assert_allclose(out.data, ref, rtol=1e-12)
 
@@ -147,11 +152,11 @@ class TestAdaptConv:
         L.adaptconv_params(pb, "c", 2, 3)
         pts = cloud(12, 6)
         fs = feats(12, 2, 6)
-        out = L.adaptconv(Tensor(pts), Tensor(fs), knn(pts, pts, 4), pb.entries, "c", 3)
+        out = L.graph_conv("adapt", Tensor(pts), Tensor(fs), knn(pts, pts, 4), pb.entries, "c", 3)
         perm = np.random.default_rng(7).permutation(12)
         pts_p = pts[perm]
-        out_p = L.adaptconv(
-            Tensor(pts_p), Tensor(fs[perm]), knn(pts_p, pts_p, 4), pb.entries, "c", 3
+        out_p = L.graph_conv(
+            "adapt", Tensor(pts_p), Tensor(fs[perm]), knn(pts_p, pts_p, 4), pb.entries, "c", 3
         )
         np.testing.assert_allclose(out_p.data, out.data[perm], atol=1e-12)
 
@@ -164,7 +169,7 @@ class TestAdaptConv:
         graph = knn(pts, pts, 3)
 
         def f(p):
-            return probe(L.adaptconv(p["coords"], p["feats"], graph, p, "c", 3), 80)
+            return probe(L.graph_conv("adapt", p["coords"], p["feats"], graph, p, "c", 3), 80)
 
         assert finite_diff_check(f, pb.entries) < 1e-4
 
@@ -174,14 +179,18 @@ class TestAdaptConv:
         pts = cloud(8, 9)
         graph = knn(pts, pts, 3)
         with pytest.raises(ValueError, match="graph covers"):
-            L.adaptconv(Tensor(pts[:5]), Tensor(feats(5, 2, 9)), graph, pb.entries, "c", 3)
+            L.graph_conv(
+                "adapt", Tensor(pts[:5]), Tensor(feats(5, 2, 9)), graph, pb.entries, "c", 3
+            )
 
 
 class TestEdgeConv:
     def test_zero_theta_gives_zeros(self):
         params = {"c.theta": Tensor(np.zeros((4, 3)))}
         pts = cloud(6, 10)
-        out = L.edgeconv(Tensor(pts), Tensor(feats(6, 2, 10)), knn(pts, pts, 2), params, "c", 3)
+        out = L.graph_conv(
+            "edge", Tensor(pts), Tensor(feats(6, 2, 10)), knn(pts, pts, 2), params, "c", 3
+        )
         np.testing.assert_array_equal(out.data, np.zeros((6, 3)))
 
     def test_identical_features_constant_output(self):
@@ -189,7 +198,7 @@ class TestEdgeConv:
         L.edgeconv_params(pb, "c", 2, 3)
         pts = cloud(6, 11)
         fs = np.tile([[1.5, -0.5]], (6, 1))
-        out = L.edgeconv(Tensor(pts), Tensor(fs), knn(pts, pts, 2), pb.entries, "c", 3)
+        out = L.graph_conv("edge", Tensor(pts), Tensor(fs), knn(pts, pts, 2), pb.entries, "c", 3)
         np.testing.assert_allclose(out.data, np.tile(out.data[0], (6, 1)), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -199,7 +208,7 @@ class TestEdgeConv:
         pts = cloud(14, seed + 20)
         fs = feats(14, 3, seed + 70)
         graph = knn(pts, pts, 4)
-        out = L.edgeconv(Tensor(pts), Tensor(fs), graph, pb.entries, "c", 4)
+        out = L.graph_conv("edge", Tensor(pts), Tensor(fs), graph, pb.entries, "c", 4)
         ref = edgeconv_reference(fs, graph.neighbors, pb.entries["c.theta"].data, 4)
         np.testing.assert_allclose(out.data, ref, rtol=1e-12)
 
@@ -211,7 +220,7 @@ class TestEdgeConv:
         graph = knn(pts, pts, 3)
 
         def f(p):
-            return probe(L.edgeconv(Tensor(pts), p["feats"], graph, p, "c", 3), 81)
+            return probe(L.graph_conv("edge", Tensor(pts), p["feats"], graph, p, "c", 3), 81)
 
         assert finite_diff_check(f, pb.entries) < 1e-4
 
@@ -224,18 +233,22 @@ class TestGraphPool:
 
     def test_full_pool_reorders_by_selection(self):
         pts, fs, params = self.make(10, 2, 3, 13)
-        coords_out, feats_out = L.graph_pool(Tensor(pts), Tensor(fs), 10, 4, params, "p", 3)
+        coords_out, feats_out = L.graph_pool(
+            Tensor(pts), Tensor(fs), 10, 4, params, "p", 3, "adapt"
+        )
         np.testing.assert_array_equal(coords_out.data, pts[fps(pts, 10)])
         assert feats_out.shape == (10, 3)
 
     def test_pool_to_one_is_start_point(self):
         pts, fs, params = self.make(9, 2, 3, 14)
-        coords_out, _ = L.graph_pool(Tensor(pts), Tensor(fs), 1, 4, params, "p", 3)
+        coords_out, _ = L.graph_pool(Tensor(pts), Tensor(fs), 1, 4, params, "p", 3, "adapt")
         np.testing.assert_array_equal(coords_out.data, pts[fps(pts, 1)])
 
     def test_recomposition_from_primitives(self):
         pts, fs, params = self.make(32, 2, 3, 15)
-        coords_out, feats_out = L.graph_pool(Tensor(pts), Tensor(fs), 8, 5, params, "p", 3)
+        coords_out, feats_out = L.graph_pool(
+            Tensor(pts), Tensor(fs), 8, 5, params, "p", 3, "adapt"
+        )
         idx = fps(pts, 8)
         np.testing.assert_array_equal(coords_out.data, pts[idx])
         graph = knn(pts[idx], pts.view(), 5)
@@ -254,7 +267,7 @@ class TestGraphPool:
     def test_pool_too_large(self):
         pts, fs, params = self.make(5, 2, 3, 16)
         with pytest.raises(ValueError):
-            L.graph_pool(Tensor(pts), Tensor(fs), 6, 3, params, "p", 3)
+            L.graph_pool(Tensor(pts), Tensor(fs), 6, 3, params, "p", 3, "adapt")
 
 
 class TestInterpolateUp:
@@ -341,7 +354,7 @@ class TestAggregatePrev:
 
 
 class TestVmlp:
-    SPEC = L.VmlpSpec(sub_dims=(2, 3, 4, 4, 6), adjust_width=3, out_width=5, knn_k=4)
+    SPEC = L.VmlpSpec(sub_dims=(2, 3, 4, 4, 6), adjust_width=3, out_width=5)
 
     def build(self, seed):
         pb = ParamBuilder(Rng(seed))
@@ -349,18 +362,24 @@ class TestVmlp:
         return pb.entries
 
     def test_output_shape_default_toy_spec(self):
-        spec = L.VmlpSpec(sub_dims=(16, 32, 64, 64, 128), adjust_width=32, out_width=128, knn_k=8)
+        spec = L.VmlpSpec(sub_dims=(16, 32, 64, 64, 128), adjust_width=32, out_width=128)
         pb = ParamBuilder(Rng(33))
         L.vmlp_params(pb, "v", spec)
-        out = L.vmlp(Tensor(cloud(10, 33)), pb.entries, "v", spec)
+        pts = cloud(10, 33)
+        out = L.vmlp(Tensor(pts), self_graph(pts, 8), pb.entries, "v", spec)
         assert out.shape == (10, 128)
 
     def test_permutation_invariant_pooled_equivariant_rows(self):
         params = self.build(34)
         pts = cloud(9, 34)
         perm = np.random.default_rng(35).permutation(9)
-        out, pooled = L.vmlp(Tensor(pts), params, "v", self.SPEC, return_pooled=True)
-        out_p, pooled_p = L.vmlp(Tensor(pts[perm]), params, "v", self.SPEC, return_pooled=True)
+        out, pooled = L.vmlp(
+            Tensor(pts), self_graph(pts, 4), params, "v", self.SPEC, return_pooled=True
+        )
+        out_p, pooled_p = L.vmlp(
+            Tensor(pts[perm]), self_graph(pts[perm], 4), params, "v", self.SPEC,
+            return_pooled=True,
+        )
         for a, b in zip(pooled, pooled_p):
             np.testing.assert_allclose(a.data, b.data, atol=1e-12)
         np.testing.assert_allclose(out_p.data, out.data[perm], atol=1e-10)
@@ -368,20 +387,24 @@ class TestVmlp:
     def test_duplication_leaves_pooled_vectors_unchanged(self):
         params = self.build(36)
         pts = cloud(7, 36)
-        _, pooled = L.vmlp(Tensor(pts), params, "v", self.SPEC, return_pooled=True)
+        _, pooled = L.vmlp(
+            Tensor(pts), self_graph(pts, 4), params, "v", self.SPEC, return_pooled=True
+        )
         doubled = np.vstack([pts, pts])
-        _, pooled_d = L.vmlp(Tensor(doubled), params, "v", self.SPEC, return_pooled=True)
+        _, pooled_d = L.vmlp(
+            Tensor(doubled), self_graph(doubled, 4), params, "v", self.SPEC,
+            return_pooled=True,
+        )
         for a, b in zip(pooled, pooled_d):
             np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_variant_output_shapes(self):
         for kind in ("pointnet_mlp", "one_subnet"):
-            spec = L.VmlpSpec(
-                sub_dims=(2, 3, 4, 4, 6), adjust_width=3, out_width=5, kind=kind, knn_k=4
-            )
+            spec = L.VmlpSpec(sub_dims=(2, 3, 4, 4, 6), adjust_width=3, out_width=5, kind=kind)
             pb = ParamBuilder(Rng(37))
             L.vmlp_params(pb, "v", spec)
-            out = L.vmlp(Tensor(cloud(8, 37)), pb.entries, "v", spec)
+            pts = cloud(8, 37)
+            out = L.vmlp(Tensor(pts), self_graph(pts, 4), pb.entries, "v", spec)
             assert out.shape == (8, 5)
 
     def test_too_few_layers_rejected(self):
@@ -390,16 +413,19 @@ class TestVmlp:
 
     def test_too_few_points_rejected(self):
         params = self.build(38)
+        pts = cloud(1, 38)
+        graph = knn(pts, pts, 1, exclude_self=False)
         with pytest.raises(ValueError, match="at least 2"):
-            L.vmlp(Tensor(cloud(1, 38)), params, "v", self.SPEC)
+            L.vmlp(Tensor(pts), graph, params, "v", self.SPEC)
 
     def test_gradients(self):
         params = self.build(39)
         pts = cloud(6, 39)
         spec = self.SPEC
+        graph = self_graph(pts, 4)
 
         def f(p):
-            return probe(L.vmlp(Tensor(pts), p, "v", spec), 83)
+            return probe(L.vmlp(Tensor(pts), graph, p, "v", spec), 83)
 
         # the kernel generator is wide; probe a sample of its coordinates
         assert finite_diff_check(f, params, coord_limit=40, rng=Rng(40)) < 1e-4

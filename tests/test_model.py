@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spcnet import layers as L
+from spcnet import model as M
 from spcnet import tensor as T
-from spcnet.geometry import fps
+from spcnet.geometry import fps, knn
 from spcnet.model import (
     ModelConfig,
     acm_forward,
@@ -27,6 +29,11 @@ TINY = ModelConfig(
 
 def cloud(n, seed):
     return np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 3))
+
+
+def self_graph(pts):
+    """The graph ``scm_forward`` builds on a joined cloud under TINY."""
+    return knn(pts, pts, L.self_knn_k(TINY.knn_k, pts.shape[0]))
 
 
 class TestModelConfig:
@@ -137,11 +144,14 @@ class TestCoarseStage:
 class TestAcmForward:
     def test_row_order_contract_enforced(self):
         params = init_params(TINY, 4)
-        whole = Tensor(cloud(12, 5))
+        whole_np = cloud(12, 5)
         wrong_tail = Tensor(cloud(4, 6))
         feats = Tensor(np.random.default_rng(7).standard_normal((12, 16)))
         with pytest.raises(ValueError, match="row-order"):
-            acm_forward(whole, wrong_tail, feats, 2, params, "scm0.acm", TINY)
+            acm_forward(
+                Tensor(whole_np), wrong_tail, feats, self_graph(whole_np), 2, params,
+                "scm0.acm", TINY,
+            )
 
     def test_upsample_one_preserves_count(self):
         params = init_params(TINY, 5)
@@ -149,7 +159,9 @@ class TestAcmForward:
         tail = Tensor(whole_np[-4:])
         g = TINY and init_params  # noqa: F841  (kept local names tidy)
         feats = Tensor(np.random.default_rng(9).standard_normal((12, 8)))
-        out = acm_forward(Tensor(whole_np), tail, feats, 1, params, "scm2.acm", TINY)
+        out = acm_forward(
+            Tensor(whole_np), tail, feats, self_graph(whole_np), 1, params, "scm2.acm", TINY
+        )
         assert out.shape == (4, 3)
 
     def test_zeroed_fold_head_replicates_tail(self):
@@ -158,7 +170,9 @@ class TestAcmForward:
         whole_np = cloud(12, 10)
         tail = Tensor(whole_np[-4:])
         feats = Tensor(np.random.default_rng(11).standard_normal((12, 8)))
-        out = acm_forward(Tensor(whole_np), tail, feats, 2, params, "scm0.acm", TINY)
+        out = acm_forward(
+            Tensor(whole_np), tail, feats, self_graph(whole_np), 2, params, "scm0.acm", TINY
+        )
         np.testing.assert_array_equal(out.data, np.tile(whole_np[-4:], (2, 1)))
 
 
@@ -177,6 +191,20 @@ class TestScmForward:
         params = init_params(TINY, 8)
         with pytest.raises(ValueError, match="hand-off"):
             scm_forward(Tensor(cloud(16, 14)), Tensor(cloud(8, 15)), None, 1, params, TINY)
+
+    def test_each_stage_builds_its_self_graph_once(self, monkeypatch):
+        calls = []
+
+        def spy(query, reference, k, exclude_self=None):
+            calls.append((query.shape, query.tobytes(), reference.shape, reference.tobytes(), k))
+            return knn(query, reference, k, exclude_self)
+
+        monkeypatch.setattr(M, "knn", spy)
+        monkeypatch.setattr(L, "knn", spy)
+        spcnet_forward(Tensor(cloud(TINY.partial_count, 21)), init_params(TINY, 12), TINY)
+        # per stage: the self graph, two pooling graphs, two interpolations
+        assert len(calls) == 5 * TINY.scm_count == 15
+        assert len(set(calls)) == len(calls)
 
 
 class TestSpcnetForward:
