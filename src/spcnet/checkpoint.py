@@ -45,14 +45,20 @@ def _encode_value(value) -> str:
     return str(value)
 
 
-def _decode_value(text: str, default):
-    """Parse ``text`` as a value of the type of the field's ``default``
-    (tuples hold ints)."""
-    if isinstance(default, tuple):
-        return tuple(int(v) for v in text.split(",") if v)
-    if isinstance(default, bool):
-        return text == "True"
-    return type(default)(text)
+def _decode_value(text: str, default, path, key: str):
+    """Parse ``text`` as a value of the type of ``default`` (tuples hold
+    ints); text that does not parse is an error naming the file and key."""
+    try:
+        if isinstance(default, tuple):
+            return tuple(int(v) for v in text.split(",") if v)
+        if isinstance(default, bool):
+            return {"True": True, "False": False}[text]
+        return type(default)(text)
+    except (KeyError, ValueError):
+        raise CheckpointError(
+            f"{path}: config key {key!r}: cannot read {text!r} as "
+            f"{type(default).__name__}"
+        ) from None
 
 
 def _config_block(ckpt: Checkpoint) -> bytes:
@@ -66,7 +72,7 @@ def _config_block(ckpt: Checkpoint) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _parse_config_block(blob: bytes) -> tuple[ModelConfig, dict, dict]:
+def _parse_config_block(blob: bytes, path) -> tuple[ModelConfig, dict, dict]:
     entries = {}
     for line in blob.decode("utf-8").splitlines():
         if not line:
@@ -76,8 +82,12 @@ def _parse_config_block(blob: bytes) -> tuple[ModelConfig, dict, dict]:
     kwargs = {}
     for f in dataclass_fields(ModelConfig):
         if f.name in entries:
-            kwargs[f.name] = _decode_value(entries[f.name], f.default)
+            kwargs[f.name] = _decode_value(entries[f.name], f.default, path, f.name)
     config = ModelConfig(**kwargs)
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     meta = {k[5:]: v for k, v in entries.items() if k.startswith("meta.")}
     extras = {k: v for k, v in entries.items() if k in ("has_adam", "adam.t")}
     return config, meta, extras
@@ -151,7 +161,7 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: unsupported version {version} at offset 4"
         )
     config_len = r.u32("config length")
-    config, meta, extras = _parse_config_block(r.take(config_len, "config block"))
+    config, meta, extras = _parse_config_block(r.take(config_len, "config block"), path)
     count = r.u32("tensor count")
     raw: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -188,6 +198,6 @@ def load_checkpoint(path) -> Checkpoint:
         adam = AdamState(
             m={n: raw[f"adam.m.{n}"] for n in params},
             v={n: raw[f"adam.v.{n}"] for n in params},
-            t=int(extras.get("adam.t", "0")),
+            t=_decode_value(extras.get("adam.t", "0"), 0, path, "adam.t"),
         )
     return Checkpoint(config=config, params=params, adam=adam, meta=meta)

@@ -3,7 +3,8 @@
 A deliberately small tape: only the operations the completion network needs,
 all numpy-backed, all double precision.  Forward ops are pure; nodes record
 their parents and a backward closure, and ``backward`` walks the graph in
-reverse topological order, accumulating into ``.grad`` (multiple paths add).
+reverse topological order, accumulating into ``.grad`` (multiple paths add)
+and releasing each interior node once its closure has run.
 """
 from __future__ import annotations
 
@@ -68,9 +69,18 @@ class Tensor:
     def _tracked(self) -> bool:
         return self.requires_grad or self._backward is not None
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` into ``.grad``.
+
+        ``owned`` hands ``g`` over: the caller allocated it, or it is the
+        released node's own gradient passed to that node's only taker.
+        Otherwise the first gradient is copied, as ``g`` may also be handed
+        to another parent and ``.grad`` is added into in place.
+        """
+        if not self._tracked():
+            return
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)  # copy: g may be a view
+            self.grad = np.asarray(g) if owned else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -101,7 +111,7 @@ class Tensor:
         out_data = self.data + other.data
 
         def bwd(g):
-            self._accumulate(_unbroadcast(g, self.data.shape))
+            self._accumulate(_unbroadcast(g, self.data.shape), owned=True)
             other._accumulate(_unbroadcast(g, other.data.shape))
 
         return Tensor._node(out_data, (self, other), bwd)
@@ -113,8 +123,8 @@ class Tensor:
         out_data = self.data - other.data
 
         def bwd(g):
-            self._accumulate(_unbroadcast(g, self.data.shape))
-            other._accumulate(_unbroadcast(-g, other.data.shape))
+            self._accumulate(_unbroadcast(g, self.data.shape), owned=True)
+            other._accumulate(_unbroadcast(-g, other.data.shape), owned=True)
 
         return Tensor._node(out_data, (self, other), bwd)
 
@@ -124,8 +134,8 @@ class Tensor:
         a_data, b_data = self.data, other.data
 
         def bwd(g):
-            self._accumulate(_unbroadcast(g * b_data, a_data.shape))
-            other._accumulate(_unbroadcast(g * a_data, b_data.shape))
+            self._accumulate(_unbroadcast(g * b_data, a_data.shape), owned=True)
+            other._accumulate(_unbroadcast(g * a_data, b_data.shape), owned=True)
 
         return Tensor._node(out_data, (self, other), bwd)
 
@@ -137,28 +147,21 @@ class Tensor:
         a_data, b_data = self.data, other.data
 
         def bwd(g):
-            self._accumulate(_unbroadcast(g / b_data, a_data.shape))
-            other._accumulate(_unbroadcast(-g * a_data / (b_data * b_data), b_data.shape))
+            self._accumulate(_unbroadcast(g / b_data, a_data.shape), owned=True)
+            other._accumulate(
+                _unbroadcast(-g * a_data / (b_data * b_data), b_data.shape), owned=True
+            )
 
         return Tensor._node(out_data, (self, other), bwd)
 
     def __rtruediv__(self, other):
         return as_tensor(other).__truediv__(self)
 
-    def pow(self, exponent: float) -> "Tensor":
-        out_data = self.data ** exponent
-        x = self.data
-
-        def bwd(g):
-            self._accumulate(g * exponent * x ** (exponent - 1))
-
-        return Tensor._node(out_data, (self,), bwd)
-
     def sqrt(self) -> "Tensor":
         root = np.sqrt(self.data)
 
         def bwd(g):
-            self._accumulate(g * 0.5 / root)
+            self._accumulate(g * 0.5 / root, owned=True)
 
         return Tensor._node(root, (self,), bwd)
 
@@ -169,10 +172,8 @@ class Tensor:
         shape = self.data.shape
 
         def bwd(g):
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, shape).copy())
-            else:
-                self._accumulate(np.broadcast_to(np.expand_dims(g, axis), shape).copy())
+            g = g if axis is None else np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, shape).copy(), owned=True)
 
         return Tensor._node(out_data, (self,), bwd)
 
@@ -189,7 +190,7 @@ class Tensor:
         out_data = self.data.reshape(shape)
 
         def bwd(g):
-            self._accumulate(g.reshape(old))
+            self._accumulate(g.reshape(old), owned=True)
 
         return Tensor._node(out_data, (self,), bwd)
 
@@ -227,9 +228,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x_data, w_data = x.data, w.data
 
     def bwd(g):
-        x._accumulate(g @ w_data.T)
-        w._accumulate(x_data.T @ g)
-        b._accumulate(g.sum(axis=0))
+        x._accumulate(g @ w_data.T, owned=True)
+        w._accumulate(x_data.T @ g, owned=True)
+        b._accumulate(g.sum(axis=0), owned=True)
 
     return Tensor._node(out_data, (x, w, b), bwd)
 
@@ -244,8 +245,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def bwd(g):
-        a._accumulate(g @ b_data.T)
-        b._accumulate(a_data.T @ g)
+        a._accumulate(g @ b_data.T, owned=True)
+        b._accumulate(a_data.T @ g, owned=True)
 
     return Tensor._node(out_data, (a, b), bwd)
 
@@ -258,21 +259,21 @@ def activation(x: Tensor, kind: str, slope: float = 0.2) -> Tensor:
         mask = (x.data > 0.0).astype(np.float64)
 
         def bwd(g):
-            x._accumulate(g * mask)
+            x._accumulate(g * mask, owned=True)
 
     elif kind == "leaky_relu":
         factor = np.where(x.data > 0.0, 1.0, slope)
         out_data = x.data * factor
 
         def bwd(g):
-            x._accumulate(g * factor)
+            x._accumulate(g * factor, owned=True)
 
     elif kind == "tanh":
         out_data = np.tanh(x.data)
         deriv = 1.0 - out_data * out_data
 
         def bwd(g):
-            x._accumulate(g * deriv)
+            x._accumulate(g * deriv, owned=True)
 
     else:
         raise ValueError(f"unsupported activation kind {kind!r}")
@@ -299,7 +300,7 @@ def reduce_max_rows(x: Tensor) -> Tensor:
     def bwd(g):
         gx = np.zeros(shape)
         gx[arg, np.arange(shape[1])] = g
-        x._accumulate(gx)
+        x._accumulate(gx, owned=True)
 
     return Tensor._node(out_data, (x,), bwd)
 
@@ -317,7 +318,7 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     def bwd(g):
         gx = np.zeros(shape)
         np.add.at(gx, idx, g)
-        x._accumulate(gx)
+        x._accumulate(gx, owned=True)
 
     return Tensor._node(out_data, (x,), bwd)
 
@@ -356,7 +357,7 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     def bwd(g):
         gx = np.zeros(shape)
         gx[:, start:stop] = g
-        x._accumulate(gx)
+        x._accumulate(gx, owned=True)
 
     return Tensor._node(out_data, (x,), bwd)
 
@@ -368,7 +369,7 @@ def tile_rows(x: Tensor, k: int) -> Tensor:
     out_data = np.tile(x.data, (k, 1))
 
     def bwd(g):
-        x._accumulate(g.reshape(k, m, d).sum(axis=0))
+        x._accumulate(g.reshape(k, m, d).sum(axis=0), owned=True)
 
     return Tensor._node(out_data, (x,), bwd)
 
@@ -383,7 +384,7 @@ def group_sum_rows(x: Tensor, group_size: int) -> Tensor:
     out_data = x.data.reshape(groups, group_size, d).sum(axis=1)
 
     def bwd(g):
-        x._accumulate(np.repeat(g, group_size, axis=0))
+        x._accumulate(np.repeat(g, group_size, axis=0), owned=True)
 
     return Tensor._node(out_data, (x,), bwd)
 
@@ -406,7 +407,7 @@ def group_max_rows(x: Tensor, group_size: int) -> Tensor:
     def bwd(g):
         gx = np.zeros((groups, group_size, d))
         np.put_along_axis(gx, arg[:, None, :], g[:, None, :], axis=1)
-        x._accumulate(gx.reshape(total, d))
+        x._accumulate(gx.reshape(total, d), owned=True)
 
     return Tensor._node(out_data, (x,), bwd)
 
@@ -415,23 +416,47 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     """Per-column normalization with the rows' own (biased) statistics.
 
     The map is a pure function of the rows at hand.  The epsilon guard keeps
-    zero-variance columns (including batches of one row) finite.
+    zero-variance columns (including batches of one row) finite.  One tape
+    node; forward and backward take the floating-point steps of the
+    composite form (mean, centre, variance, ``(var + eps) ** -0.5``, scale
+    and shift, each a node), so both give the composite's bits.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.data.ndim != 2 or x.data.shape[0] < 1:
         raise ValueError(f"batch_norm: need a non-empty 2-d input, got {x.data.shape}")
-    mu = x.mean(axis=0)
-    centered = x - mu
-    var = (centered * centered).mean(axis=0)
-    scale = (var + eps).pow(-0.5)
-    return gamma * (centered * scale) + beta
+    inv_n = 1.0 / x.data.shape[0]
+    centered = x.data - x.data.sum(axis=0) * inv_n
+    var_eps = (centered * centered).sum(axis=0) * inv_n + eps
+    scale = var_eps ** -0.5
+    normed = centered * scale
+    out_data = gamma.data * normed + beta.data
+
+    def bwd(g):
+        gamma._accumulate(_unbroadcast(g * normed, gamma.data.shape), owned=True)
+        beta._accumulate(_unbroadcast(g, beta.data.shape), owned=True)
+        g_normed = g * gamma.data
+        # through scale = var_eps ** -0.5 to the variance, then to each square
+        g_square = (g_normed * centered).sum(axis=0) * -0.5 * var_eps ** -1.5 * inv_n
+        gx = g_normed * scale
+        via_square = g_square * centered
+        gx += via_square  # once per factor of centered * centered
+        gx += via_square
+        gx -= gx.sum(axis=0) * inv_n  # through the mean
+        x._accumulate(gx, owned=True)
+
+    return Tensor._node(out_data, (x, gamma, beta), bwd)
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``.grad`` of every reachable tensor with d(loss)/d(tensor).
+    """Accumulate d(loss)/d(leaf) into ``.grad`` of every ``requires_grad``
+    leaf reachable from ``loss``.
 
-    Accumulates into existing ``.grad`` arrays, so callers batching several
-    losses zero grads between optimizer steps, not between calls.
+    Adds into existing ``.grad`` arrays, so callers batching several losses
+    zero grads between optimizer steps, not between calls.  The walk
+    releases the tape as it goes: once a node's closure has run, its
+    ``.grad``, closure and parents are dropped, so each forward array is
+    freed with its last consumer.  Interior nodes end with ``.grad`` None
+    and no parents; the graph cannot be walked twice.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
@@ -452,7 +477,11 @@ def backward(loss: Tensor) -> None:
             if id(parent) not in seen:
                 stack.append((parent, False))
 
-    loss._accumulate(np.ones_like(loss.data))
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    loss._accumulate(np.ones_like(loss.data), owned=True)
+    while order:
+        node = order.pop()
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad, node._backward, node._parents = None, None, ()

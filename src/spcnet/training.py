@@ -219,7 +219,9 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig) -> Trai
 
     Per epoch and shape a viewpoint is drawn from the eight cube corners, the
     shape is split at the configured ratio, and the configured loss applies;
-    per-shape losses are averaged over a batch before each Adam step.
+    per-shape losses are averaged over a batch before each Adam step.  Each
+    shape back-propagates as soon as it is scored, so a step holds one
+    shape's tape at a time.
     Asymmetric splits under the cycle modes train a second parameter set for
     the reverse direction jointly.  A non-finite loss stops training with a
     ValueError naming the (1-based) epoch and the (0-based) shape index.
@@ -260,7 +262,6 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig) -> Trai
             zero_grads(params)
             if rev_params is not None:
                 zero_grads(rev_params)
-            batch_loss = None
             for index, (_, points) in enumerate(batch, start=start):
                 corner = CUBE_CORNERS[rng.randrange(len(CUBE_CORNERS))]
                 p_n, p_m = viewpoint_split(points, corner, model_config.missing_ratio)
@@ -271,11 +272,11 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig) -> Trai
                 value = loss.item()
                 if not np.isfinite(value):
                     raise ValueError(f"epoch {epoch}, shape {index}: non-finite loss")
-                batch_loss = loss if batch_loss is None else batch_loss + loss
+                # one shape's tape at a time: gradients add up in the leaves
+                backward(loss * (1.0 / len(batch)))
                 for k in keys:
                     epoch_sums[k] += components[k]
                 epoch_total += value
-            backward(batch_loss * (1.0 / len(batch)))
             lr = train_config.lr_at(epoch)
             adam_step(params, adam, lr=lr)
             if rev_params is not None:

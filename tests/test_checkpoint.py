@@ -203,3 +203,40 @@ class TestLayoutErrors:
         first = next(iter(init_params(TINY, 0)))
         with pytest.raises(CheckpointError, match=f"unexpected tensor 'adam.m.{first}'"):
             load_checkpoint(path)
+
+
+class TestConfigErrors:
+    """A stored config that does not decode, or does not validate, is an
+    error naming the file (and the key, when one value is unreadable)."""
+
+    def saved(self, tmp_path, seed=15, with_adam=False):
+        path = tmp_path / "m.spcn"
+        save_checkpoint(make_checkpoint(seed, with_adam=with_adam), path)
+        return path
+
+    @pytest.mark.parametrize("old, new, key, text, kind", [
+        (b"knn_k=4", b"knn_k=four", "knn_k", "four", "int"),
+        (b"missing_ratio=0.5", b"missing_ratio=half", "missing_ratio", "half", "float"),
+        (b"upsample_factors=2,2,1", b"upsample_factors=2,x,1", "upsample_factors",
+         "2,x,1", "tuple"),
+        (b"use_aggregation=True", b"use_aggregation=yes", "use_aggregation", "yes", "bool"),
+    ])
+    def test_unreadable_value_names_file_and_key(self, tmp_path, old, new, key, text, kind):
+        path = self.saved(tmp_path)
+        rewrite_config_block(path, old, new)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: config key {key!r}: cannot read {text!r} as {kind}"
+
+    def test_unreadable_adam_step_names_file_and_key(self, tmp_path):
+        path = self.saved(tmp_path, with_adam=True)
+        rewrite_config_block(path, b"adam.t=5", b"adam.t=5.5")
+        with pytest.raises(CheckpointError, match="config key 'adam.t': cannot read '5.5' as int"):
+            load_checkpoint(path)
+
+    def test_invalid_config_is_prefixed_with_the_path(self, tmp_path):
+        path = self.saved(tmp_path)
+        rewrite_config_block(path, b"scm_count=3", b"scm_count=5")
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: scm_count must be 1..3, got 5"

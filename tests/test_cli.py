@@ -1,5 +1,6 @@
 """Command surface: exit codes, file outputs, determinism."""
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -229,6 +230,24 @@ class TestCheckpointLayout:
         capsys.readouterr()
         assert main([command, "--ckpt", str(ckpt), *rest]) == 1
         assert capsys.readouterr().err == f"error: {ckpt}: missing tensor 'scm1.agg.w'\n"
+        assert not (tmp_path / "o.xyz").exists()
+
+    @pytest.mark.parametrize("command", ["complete", "eval"])
+    def test_unreadable_config_value_fails_with_one_line_error(
+        self, command, trained, tmp_path, data_dir, capsys
+    ):
+        blob = trained.read_bytes()
+        size = struct.unpack("<I", blob[8:12])[0]
+        block = blob[12:12 + size].replace(b"knn_k=4", b"knn_k=four")
+        trained.write_bytes(blob[:8] + struct.pack("<I", len(block)) + block + blob[12 + size:])
+        rest = {
+            "complete": ["--in", str(data_dir / "missing.xyz"), "--out", str(tmp_path / "o.xyz")],
+            "eval": ["--data", str(data_dir)],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--ckpt", str(trained), *rest]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {trained}: config key 'knn_k': cannot read 'four' as int\n"
         assert not (tmp_path / "o.xyz").exists()
 
 

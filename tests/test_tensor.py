@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spcnet import tensor as T
+from spcnet.gradcheck import finite_diff_check
 from spcnet.tensor import Tensor, backward, batch_norm
 
 
@@ -91,6 +92,42 @@ class TestBatchNorm:
     def test_single_row_batch_is_guarded(self):
         out = batch_norm(Tensor([[1.0, 2.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
         np.testing.assert_allclose(out.data, [[0.0, 0.0]], atol=1e-12)
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(22)
+        constant_column = rng.standard_normal((5, 3))
+        constant_column[:, 1] = 0.7
+        for x in (rng.standard_normal((9, 4)), rng.standard_normal((1, 3)), constant_column):
+            d = x.shape[1]
+            yield x, rng.standard_normal(d), rng.standard_normal(d)
+
+    def test_forward_matches_composite_formula_bitwise(self):
+        # the op sequence of the composite (one node per step) formula
+        for x, gamma, beta in self.inputs():
+            inv_n = 1.0 / x.shape[0]
+            centered = x - x.sum(axis=0) * inv_n
+            var = (centered * centered).sum(axis=0) * inv_n
+            scale = (var + 1e-5) ** -0.5
+            expected = gamma * (centered * scale) + beta
+            out = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta))
+            np.testing.assert_array_equal(out.data, expected)
+
+    def test_one_tape_node(self):
+        x = Tensor(rand((4, 2), 23), requires_grad=True)
+        out = batch_norm(x, T.parameter(np.ones(2)), T.parameter(np.zeros(2)))
+        assert all(p._backward is None for p in out._parents)
+
+    def test_gradient_matches_central_differences(self):
+        # includes the one-row input and a zero-variance column (eps guard)
+        for i, (x, gamma, beta) in enumerate(self.inputs()):
+            weights = Tensor(np.random.default_rng(30 + i).standard_normal(x.shape))
+            params = {"x": T.parameter(x), "g": T.parameter(gamma), "b": T.parameter(beta)}
+
+            def loss(p):
+                return (batch_norm(p["x"], p["g"], p["b"]) * weights).sum()
+
+            assert finite_diff_check(loss, params) < 1e-5
 
 
 class TestReduceMaxRows:
@@ -215,6 +252,34 @@ class TestBackward:
         x = Tensor(np.array([[2.0]]), requires_grad=True)
         backward(((x * 3.0) + (x * 4.0)).sum())
         assert x.grad[0, 0] == 7.0
+
+    def test_interior_nodes_released_leaves_keep_grads(self):
+        w = T.parameter(rand((3, 2), 24))
+        x = Tensor(rand((4, 3), 25))
+        hidden = T.relu(T.matmul(x, w))
+        backward(hidden.sum())
+        assert hidden.grad is None
+        assert hidden._parents == () and hidden._backward is None
+        assert w.grad is not None and w.grad.shape == (3, 2)
+        assert x.grad is None  # not a requires_grad leaf
+
+    def test_upstream_handed_to_two_parents_is_not_aliased(self):
+        # a + b passes one upstream array to both parents; x + x twice to one.
+        # More gradient then accumulates in place, as in per-shape backward.
+        a, b = T.parameter(np.zeros((2, 2))), T.parameter(np.zeros((2, 2)))
+        backward(((a + b) * 2.0).sum())
+        backward((a * 3.0).sum())
+        np.testing.assert_array_equal(a.grad, np.full((2, 2), 5.0))
+        np.testing.assert_array_equal(b.grad, np.full((2, 2), 2.0))
+        backward((b * 4.0).sum())
+        np.testing.assert_array_equal(a.grad, np.full((2, 2), 5.0))
+        np.testing.assert_array_equal(b.grad, np.full((2, 2), 6.0))
+
+        x, y = T.parameter(np.ones(3)), T.parameter(np.ones(3))
+        backward(((x + x) + y).sum())
+        backward((x * 5.0).sum())
+        np.testing.assert_array_equal(x.grad, np.full(3, 7.0))
+        np.testing.assert_array_equal(y.grad, np.full(3, 1.0))
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ValueError, match="scalar"):

@@ -1,14 +1,18 @@
 """Losses, cycle arithmetic, the training loop, and evaluation."""
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import spcnet.training as tr
 from spcnet.data import generate_shapes
-from spcnet.geometry import fps
+from spcnet.geometry import fps, viewpoint_split
 from spcnet.gradcheck import finite_diff_check
-from spcnet.model import ModelConfig, StageOutputs, spcnet_forward
-from spcnet.tensor import Tensor
+from spcnet.model import ModelConfig, StageOutputs, init_params, spcnet_forward
+from spcnet.optim import zero_grads
+from spcnet.tensor import Tensor, backward
 from spcnet.training import (
     LossWeights,
     TrainConfig,
@@ -324,6 +328,56 @@ class TestTrain:
             not np.array_equal(result.reverse_params[n].data, fresh_rev[n].data)
             for n in fresh_rev
         )
+
+
+class TestLeanTape:
+    """A step holds one shape's tape at a time, with the gradients of the
+    summed batch loss."""
+
+    @staticmethod
+    def traced_peak(dataset, batch_size):
+        tracemalloc.start()
+        try:
+            train(dataset, TINY, TrainConfig(epochs=1, batch_size=batch_size, seed=8))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_does_not_grow_with_batch_size(self):
+        dataset = tiny_dataset(count=8)  # 8 shapes of 64 points
+        assert len(dataset.shapes) == 8
+        ratio = self.traced_peak(dataset, 8) / self.traced_peak(dataset, 1)
+        assert ratio < 1.5
+
+    @pytest.mark.parametrize("loss_mode", ["1L", "4L"])
+    def test_per_shape_backward_matches_summed_loss(self, loss_mode):
+        cfg = replace(TINY, loss_mode=loss_mode)
+        params = init_params(cfg, 9)
+        splits = [
+            viewpoint_split(points, corner, cfg.missing_ratio)
+            for (_, points), corner in zip(tiny_dataset(count=4).shapes, tr.CUBE_CORNERS[[0, 5, 3, 6]])
+        ]
+
+        def forward(cloud):
+            return spcnet_forward(cloud, params, cfg)
+
+        def loss(p_n, p_m):
+            return cycle_total_loss(forward, forward, p_n, p_m, LossWeights(), loss_mode)[0]
+
+        scale = 1.0 / len(splits)
+        zero_grads(params)
+        for p_n, p_m in splits:
+            backward(loss(p_n, p_m) * scale)
+        per_shape = {n: p.grad.copy() for n, p in params.items()}
+
+        zero_grads(params)
+        total = None
+        for p_n, p_m in splits:
+            value = loss(p_n, p_m)
+            total = value if total is None else total + value
+        backward(total * scale)
+        for name, p in params.items():
+            np.testing.assert_array_equal(per_shape[name], p.grad, err_msg=name)
 
 
 class TestEvaluate:
