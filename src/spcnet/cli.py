@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
@@ -38,7 +39,10 @@ def _parse_viewpoint(text: str):
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"viewpoint needs 3 coordinates, got {text!r}")
-    return tuple(float(p) for p in parts)
+    values = tuple(float(p) for p in parts)
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"viewpoint coordinates must be finite, got {text!r}")
+    return values
 
 
 def _is_int(value) -> bool:
@@ -59,7 +63,10 @@ def _config_from_args(args) -> ModelConfig:
     config = ModelConfig()
     if args.config:
         with open(args.config) as fh:
-            overrides = json.load(fh)
+            try:
+                overrides = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
         if not isinstance(overrides, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         defaults = {f.name: f.default for f in dataclass_fields(ModelConfig)}

@@ -167,6 +167,8 @@ def viewpoint_split_indices(
     n = cloud.shape[0]
     m = int(round(ratio * n))
     vp = np.asarray(viewpoint, dtype=np.float64)
+    if not np.isfinite(vp).all():
+        raise ValueError(f"viewpoint_split: viewpoint {vp.tolist()} is not finite")
     d2 = np.sum((cloud - vp) ** 2, axis=1)
     order = np.argsort(d2, kind="stable")
     missing = np.sort(order[:m])

@@ -104,57 +104,176 @@ def self_knn_k(k: int, n: int) -> int:
     return max(1, min(k, n - 1))
 
 
-def _edge_inputs(center_coords, center_feats, ref_coords, ref_feats, neighbors):
-    """Per-edge [x_i, x_j - x_i] and [f_i, f_j - f_i] blocks, center-major."""
-    q, k = neighbors.shape
-    idx_center = np.repeat(np.arange(q, dtype=np.intp), k)
-    idx_neigh = neighbors.reshape(-1)
-    x_i = T.gather_rows(center_coords, idx_center)
-    x_j = T.gather_rows(ref_coords, idx_neigh)
-    f_i = T.gather_rows(center_feats, idx_center)
-    f_j = T.gather_rows(ref_feats, idx_neigh)
-    dx = T.concat([x_i, x_j - x_i], axis=1)
-    df = T.concat([f_i, f_j - f_i], axis=1)
-    return dx, df
-
-
-def _adapt_edge_response(dx: Tensor, df: Tensor, params: ParamSet, prefix: str, m_out: int) -> Tensor:
-    """Edge responses of the adaptive kernel: per edge, m_out kernel blocks of
-    width 2D are generated from the coordinate pair and dotted with the
-    feature pair."""
-    n_edges, two_d = df.shape
-    hidden = T.leaky_relu(
-        T.linear(dx, params[f"{prefix}.g.l0.w"], params[f"{prefix}.g.l0.b"]), EDGE_SLOPE
-    )
-    kernels = T.linear(hidden, params[f"{prefix}.g.l1.w"], params[f"{prefix}.g.l1.b"])
-    blocks = kernels.reshape(n_edges, m_out, two_d)
-    h = (blocks * df.reshape(n_edges, 1, two_d)).sum(axis=2)
-    return T.leaky_relu(h, EDGE_SLOPE)
-
-
-def _edge_response(dx: Tensor, df: Tensor, params: ParamSet, prefix: str, m_out: int) -> Tensor:
-    """Fixed shared kernel applied to the feature pair (the ablation baseline)."""
-    return T.leaky_relu(T.matmul(df, params[f"{prefix}.theta"]), EDGE_SLOPE)
-
+# Per-edge arrays of the fused convolution are built over blocks of centre
+# rows, each block array about this many bytes.
+_BLOCK_BYTES = 2 << 20
 
 # Graph convolutions by ``ModelConfig.conv_kind``: AdaptConv (Zhou et al., ICCV
-# 2021) and EdgeConv (Wang et al., DGCNN) as (builder(pb, prefix, feat_width,
-# m_out), edge response(dx, df, params, prefix, m_out) -> [edges, m_out]).
-CONVS = {
-    "adapt": (adaptconv_params, _adapt_edge_response),
-    "edge": (edgeconv_params, _edge_response),
-}
+# 2021) and EdgeConv (Wang et al., DGCNN), as parameter builders
+# (pb, prefix, feat_width, m_out); ``_conv_over_edges`` runs both.
+CONVS = {"adapt": adaptconv_params, "edge": edgeconv_params}
+
+
+def _leaky_factor(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, 1.0, EDGE_SLOPE)
+
+
+def _scatter_rows(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
+    """[rows, w] sums of the rows of ``values`` [n, w] by ``index`` [n]: the
+    sums ``np.add.at`` takes, in its order, by one ``bincount``."""
+    w = values.shape[1]
+    flat = (index.reshape(-1, 1) * w + np.arange(w)).reshape(-1)
+    return np.bincount(flat, weights=values.reshape(-1), minlength=rows * w).reshape(rows, w)
+
+
+def _row_blocks(rows: int, row_bytes: int) -> list:
+    """Slices over ``rows`` rows of ``row_bytes`` each, about ``_BLOCK_BYTES``
+    per slice."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return [slice(i, min(rows, i + step)) for i in range(0, rows, step)]
+
+
+def _hidden_units(pre: np.ndarray) -> np.ndarray:
+    """The generator's hidden units, with a last unit fixed at 1 for its
+    output bias."""
+    hid = np.ones(pre.shape[:-1] + (pre.shape[-1] + 1,))
+    np.maximum(pre, EDGE_SLOPE * pre, out=hid[..., :-1])  # leaky relu, the same bits
+    return hid
 
 
 def _conv_over_edges(
     kind, center_coords, center_feats, ref_coords, ref_feats, neighbors, params, prefix, m_out
 ) -> Tensor:
+    """Max over each centre's neighbours of the leaky edge response, as one
+    tape node.
+
+    Each product of a weight with an edge's pair ``[a_i, a_j - a_i]`` is
+    taken as ``a_i (W_top - W_bot) + a_j W_bot``: per-point projections
+    whose rows are gathered per edge.  The adaptive kernel's generator bias
+    is a hidden unit fixed at 1, so an edge's response to output ``o`` is
+    ``sum_u hid[e, u] (A[i] + B[j])[o, u]`` with ``A = f_c W_c`` and
+    ``B = f_r W_r``; EdgeConv is the same with the single unit 1.  Forward
+    builds per-edge arrays one block of centres at a time and keeps the
+    argmax (ties to the lowest neighbour slot).  Backward needs only the
+    max edges: it recomputes their hidden units and responses from the
+    inputs, and contracts with the weights before scattering to the
+    references.
+    """
     if kind not in CONVS:
         raise ValueError(f"unknown convolution kind {kind!r}")
-    dx, df = _edge_inputs(center_coords, center_feats, ref_coords, ref_feats, neighbors)
-    _, edge_response = CONVS[kind]
-    h = edge_response(dx, df, params, prefix, m_out)
-    return T.group_max_rows(h, neighbors.shape[1])
+    q, k = neighbors.shape
+    if neighbors.size and (neighbors.min() < 0 or neighbors.max() >= ref_feats.shape[0]):
+        raise IndexError(f"{kind} conv: neighbour index out of range for {ref_feats.shape[0]} rows")
+    d = center_feats.shape[1]
+    adapt = kind == "adapt"
+    if adapt:
+        w0, b0, w1, b1 = (params[f"{prefix}.g.{n}"] for n in ("l0.w", "l0.b", "l1.w", "l1.b"))
+        weights = (w0, b0, w1, b1)
+        inputs = (center_coords, center_feats, ref_coords, ref_feats)
+        units = w0.shape[1] + 1
+        w0_r = w0.data[3:]
+        w0_c = w0.data[:3] - w0_r
+    else:
+        theta = params[f"{prefix}.theta"]
+        weights = (theta,)
+        inputs = (center_feats, ref_feats)
+        units = 1
+    xc, fc, xr, fr = center_coords.data, center_feats.data, ref_coords.data, ref_feats.data
+
+    def factored_weights():
+        """[m_out, d, units] weights of the centre and reference projections
+        (recomputed in backward rather than held on the tape)."""
+        if adapt:
+            kernel = np.vstack([w1.data, b1.data[None]]).reshape(units, m_out, 2 * d)
+        else:
+            kernel = theta.data.T.reshape(1, m_out, 2 * d)
+        w_r = np.ascontiguousarray(kernel[:, :, d:].transpose(1, 2, 0))
+        return kernel[:, :, :d].transpose(1, 2, 0) - w_r, w_r
+
+    def generator_inputs():
+        return xc @ w0_c + b0.data, xr @ w0_r
+
+    def project(f, w):
+        """[points, m_out, units] projection of features ``f``."""
+        return (f @ w.transpose(1, 0, 2).reshape(d, -1)).reshape(-1, m_out, units)
+
+    w_c, w_r = factored_weights()
+    proj_c, proj_r = project(fc, w_c), project(fr, w_r)
+    if adapt:
+        hid_c, hid_r = generator_inputs()
+    arg = np.empty((q, m_out), dtype=np.intp)
+    best = np.empty((q, m_out))
+    blocks = _row_blocks(q, 8 * k * m_out * units)
+    z_buf = np.empty((blocks[0].stop, k, m_out, units))  # reused by every block
+    for rows in blocks:
+        nbrs = neighbors[rows]
+        # "clip" skips take's buffered bounds check; the indices were checked
+        z = np.take(proj_r, nbrs, axis=0, out=z_buf[: len(nbrs)], mode="clip")
+        z += proj_c[rows, None]
+        if adapt:
+            pre = hid_r[nbrs]
+            pre += hid_c[rows, None]
+            h = (z @ _hidden_units(pre)[..., None])[..., 0]
+        else:
+            h = z[..., 0]
+        arg[rows] = h.argmax(axis=1)
+        best[rows] = np.take_along_axis(h, arg[rows, None, :], axis=1)[:, 0, :]
+    out_data = best * _leaky_factor(best)
+
+    def bwd(g):
+        # leaky keeps the sign, so the output gives the slope at the max
+        g_h = (g * _leaky_factor(out_data)).T[:, :, None]  # [m_out, q, 1]
+        w_c, w_r = factored_weights()
+        g_fc = np.empty_like(fc)
+        g_fr = np.zeros_like(fr)
+        r = fr.shape[0]
+        g_w_c = np.zeros_like(w_c)
+        g_w_r = np.zeros_like(w_r)
+        if adapt:
+            hid_c, hid_r = generator_inputs()
+            g_hid_c = np.empty_like(hid_c)
+            g_xr = np.zeros_like(xr)
+            g_w0_r = np.zeros_like(w0_r)
+        for rows in _row_blocks(q, 8 * m_out * max(units, d)):
+            # [m_out, qb] reference at each output's max edge
+            picked = np.take_along_axis(neighbors[rows], arg[rows], axis=1).T
+            gh = g_h[:, rows]
+            fc_b, fr_p = fc[rows], fr[picked]
+            if adapt:
+                pre = hid_c[rows] + hid_r[picked]
+                g_a = _hidden_units(pre) * gh
+            else:
+                g_a = gh
+            # g_a [m_out, qb, units]: gradient of A[i] (and of B at the max edge)
+            g_fc[rows] = (g_a @ w_c.transpose(0, 2, 1)).sum(axis=0)
+            g_w_c += fc_b.T @ g_a
+            g_fr += _scatter_rows(picked, (g_a @ w_r.transpose(0, 2, 1)).reshape(-1, d), r)
+            g_w_r += fr_p.transpose(0, 2, 1) @ g_a
+            if adapt:
+                z = fc_b @ w_c + fr_p @ w_r
+                g_pre = z[..., :-1] * gh
+                np.multiply(g_pre, EDGE_SLOPE, out=g_pre, where=pre <= 0.0)
+                g_hid_c[rows] = g_pre.sum(axis=0)
+                g_pre = g_pre.reshape(-1, units - 1)
+                g_xr += _scatter_rows(picked, g_pre @ w0_r.T, r)
+                g_w0_r += xr[picked].reshape(-1, 3).T @ g_pre
+        # W_c = W_top - W_bot and W_r = W_bot; back to the [units, m_out, 2d] kernel
+        g_w_r -= g_w_c
+        g_kernel = np.concatenate([g_w_c, g_w_r], axis=1).transpose(2, 0, 1)
+        center_feats._accumulate(g_fc, owned=True)
+        ref_feats._accumulate(g_fr, owned=True)
+        if adapt:
+            center_coords._accumulate(g_hid_c @ w0_c.T, owned=True)
+            ref_coords._accumulate(g_xr, owned=True)
+            g_w0_c = xc.T @ g_hid_c
+            w0._accumulate(np.vstack([g_w0_c, g_w0_r - g_w0_c]), owned=True)
+            b0._accumulate(g_hid_c.sum(axis=0), owned=True)
+            w1._accumulate(g_kernel[:-1].reshape(units - 1, -1), owned=True)
+            b1._accumulate(g_kernel[-1].reshape(-1), owned=True)
+        else:
+            theta._accumulate(np.ascontiguousarray(g_kernel[0].T), owned=True)
+
+    return Tensor._node(out_data, inputs + weights, bwd)
 
 
 def graph_conv(

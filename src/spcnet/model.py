@@ -376,7 +376,7 @@ def init_params(config: ModelConfig, seed: int | None) -> ParamSet:
 
     vspec = vmlp_spec(config)
     g = vspec.out_width
-    conv_params, _ = L.CONVS[config.conv_kind]
+    conv_params = L.CONVS[config.conv_kind]
     for i in range(config.scm_count):
         L.vmlp_params(pb, f"scm{i}.vmlp", vspec)
         if _aggregates(i, config):

@@ -7,6 +7,8 @@ the round trip, with gradients flowing through the whole composition.
 """
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +26,8 @@ CUBE_CORNERS = np.array(
     [(x, y, z) for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)]
 )
 LR_DECAYS = ("none", "cosine")
+
+log = logging.getLogger(__name__)
 
 
 def chamfer(a: Tensor, b: Tensor) -> Tensor:
@@ -255,6 +259,7 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig) -> Trai
     keys = _trace_keys(model_config.loss_mode)
     trace = []
     for epoch in range(1, train_config.epochs + 1):
+        epoch_start = time.perf_counter()
         epoch_sums = {k: 0.0 for k in keys}
         epoch_total = 0.0
         for start in range(0, len(shapes), train_config.batch_size):
@@ -285,6 +290,13 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig) -> Trai
         row.update({k: epoch_sums[k] / len(shapes) for k in keys})
         row["total"] = epoch_total / len(shapes)
         trace.append(row)
+        if log.isEnabledFor(logging.INFO):
+            stepped = list(params.values()) + list((rev_params or {}).values())
+            grad_norm = np.sqrt(sum(np.vdot(p.grad, p.grad) for p in stepped))
+            log.info(
+                "epoch %d: %.3f s, lr %.6g, grad norm %.6g (last step)",
+                epoch, time.perf_counter() - epoch_start, lr, grad_norm,
+            )
 
     meta = {
         "epochs": str(train_config.epochs),

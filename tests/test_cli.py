@@ -153,6 +153,19 @@ class TestTrain:
         assert err.startswith("error: ") and err.endswith(f"{message}\n")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["", '{"knn_k": 8,}'])
+    def test_malformed_config_file_named_in_one_line_error(self, tmp_path, text, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main([
+            "train", "--data", str(tmp_path), "--out", str(tmp_path / "m.spcn"),
+            "--epochs", "1", "--config", str(bad),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not valid JSON: ")
+        assert err.count("\n") == 1
+
     def test_int_config_value_accepted_for_float_field(self, tmp_path, data_dir):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**TINY_OVERRIDES, "grid_r": 1}))
@@ -270,6 +283,17 @@ class TestEval:
         ]) == 0
         header = report.read_text().splitlines()[0]
         assert header == "category,count,cd_coarse,cd_mid,cd_fine,cd_final"
+
+    @pytest.mark.parametrize("viewpoint", ["nan,0,0", "0,inf,0", "0,0,-inf"])
+    def test_non_finite_viewpoint_is_usage_error(self, tmp_path, viewpoint, capsys):
+        capsys.readouterr()
+        assert main([
+            "eval", "--ckpt", str(tmp_path / "m.spcn"), "--data", str(tmp_path),
+            f"--viewpoint={viewpoint}", "--report", str(tmp_path / "r.csv"),
+        ]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "must be finite" in errors[0]
+        assert not (tmp_path / "r.csv").exists()
 
     def test_round_trip_preserves_report(self, trained, data_dir, tmp_path):
         import shutil

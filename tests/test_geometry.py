@@ -303,6 +303,11 @@ class TestViewpointSplit:
         with pytest.raises(ValueError):
             viewpoint_split(cloud(4, 15), (1, 1, 1), 1.5)
 
+    @pytest.mark.parametrize("viewpoint", [(np.nan, 0, 0), (0, np.inf, 0), (0, 0, -np.inf)])
+    def test_non_finite_viewpoint(self, viewpoint):
+        with pytest.raises(ValueError, match="not finite"):
+            viewpoint_split_indices(cloud(4, 16), viewpoint, 0.5)
+
 
 class TestNormalizeCloud:
     def test_idempotent(self):

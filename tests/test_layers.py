@@ -225,6 +225,144 @@ class TestEdgeConv:
         assert finite_diff_check(f, pb.entries) < 1e-4
 
 
+def composite_conv(kind, xc, fc, xr, fr, neighbors, params, prefix, m_out):
+    """The per-edge composite the fused convolution replaces, on the tape:
+    gather each edge's ``[a_i, a_j - a_i]`` pairs, form the response, take the
+    max over each centre's neighbours."""
+    q, k = neighbors.shape
+    centre, ref = np.repeat(np.arange(q), k), neighbors.reshape(-1)
+    f_i, f_j = T.gather_rows(fc, centre), T.gather_rows(fr, ref)
+    df = T.concat([f_i, f_j - f_i], axis=1)
+    if kind == "adapt":
+        x_i, x_j = T.gather_rows(xc, centre), T.gather_rows(xr, ref)
+        dx = T.concat([x_i, x_j - x_i], axis=1)
+        hidden = T.leaky_relu(
+            T.linear(dx, params[f"{prefix}.g.l0.w"], params[f"{prefix}.g.l0.b"]), L.EDGE_SLOPE
+        )
+        kernels = T.linear(hidden, params[f"{prefix}.g.l1.w"], params[f"{prefix}.g.l1.b"])
+        n_edges, two_d = df.shape
+        blocks = kernels.reshape(n_edges, m_out, two_d)
+        h = (blocks * df.reshape(n_edges, 1, two_d)).sum(axis=2)
+    else:
+        h = T.matmul(df, params[f"{prefix}.theta"])
+    return T.group_max_rows(T.leaky_relu(h, L.EDGE_SLOPE), k)
+
+
+WEIGHTS = {"adapt": ("c.g.l0.w", "c.g.l0.b", "c.g.l1.w", "c.g.l1.b"), "edge": ("c.theta",)}
+
+
+def conv_case(kind, q, r, k, d, m_out, seed, pool=True):
+    """Leaf tensors and a neighbour table: ``q`` centres over ``r`` references
+    (``pool``: the centres are copies of the first q references, each its own
+    zero-distance neighbour, as ``graph_pool`` builds them) or one cloud of
+    ``q`` points over itself."""
+    pb = ParamBuilder(Rng(seed))
+    L.CONVS[kind](pb, "c", d, m_out)
+    rng = np.random.default_rng(seed)
+    pts, fs = rng.uniform(-1, 1, (r, 3)), rng.standard_normal((r, d))
+    if pool:
+        xc, fc = Tensor(pts[:q].copy(), True), Tensor(fs[:q].copy(), True)
+        xr, fr = Tensor(pts, True), Tensor(fs, True)
+        neighbors = knn(pts[:q], pts, k, exclude_self=False).neighbors
+    else:
+        xc = xr = Tensor(pts, True)
+        fc = fr = Tensor(fs, True)
+        neighbors = knn(pts, pts, k).neighbors
+    return (xc, fc, xr, fr), neighbors, pb.entries
+
+
+def run_conv(conv, kind, tensors, neighbors, params, m_out, seed):
+    """Output and the gradients of the four point tensors and the weights
+    under a random linear probe."""
+    for t in list(tensors) + [params[n] for n in WEIGHTS[kind]]:
+        t.grad = None
+    out = conv(kind, *tensors, neighbors, params, "c", m_out)
+    values = out.data.copy()
+    backward(probe(out, seed))
+    grads = [t.grad for t in tensors] + [params[n].grad for n in WEIGHTS[kind]]
+    return values, grads
+
+
+def assert_matches_composite(kind, tensors, neighbors, params, m_out, seed=0):
+    got, got_g = run_conv(L._conv_over_edges, kind, tensors, neighbors, params, m_out, seed)
+    ref, ref_g = run_conv(composite_conv, kind, tensors, neighbors, params, m_out, seed)
+    np.testing.assert_allclose(got, ref, rtol=1e-12)
+    for a, b in zip(got_g, ref_g):
+        if b is None:  # EdgeConv leaves the coordinates alone
+            assert a is None
+            continue
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("kind", ["adapt", "edge"])
+class TestFusedConv:
+    def test_pool_layout_matches_composite(self, kind):
+        tensors, nbrs, params = conv_case(kind, 9, 20, 5, 3, 4, 90)
+        assert (nbrs[:, 0] == np.arange(9)).all()  # each centre is its own neighbour
+        assert_matches_composite(kind, tensors, nbrs, params, 4)
+
+    def test_shared_cloud_matches_composite(self, kind):
+        tensors, nbrs, params = conv_case(kind, 16, 16, 4, 2, 3, 91, pool=False)
+        assert tensors[0] is tensors[2]
+        assert_matches_composite(kind, tensors, nbrs, params, 3)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_instances_match_composite(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        r = int(rng.integers(2, 40))
+        pool = bool(rng.integers(0, 2))
+        q = int(rng.integers(1, r + 1)) if pool else r
+        k = int(rng.integers(1, min(8, r - (not pool)) + 1))
+        d, m_out = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        tensors, nbrs, params = conv_case(kind, q, r, k, d, m_out, 200 + seed, pool=pool)
+        assert_matches_composite(kind, tensors, nbrs, params, m_out, seed)
+
+    def test_single_neighbour(self, kind):
+        tensors, nbrs, params = conv_case(kind, 7, 12, 1, 2, 3, 92)
+        assert_matches_composite(kind, tensors, nbrs, params, 3)
+
+    def test_ragged_blocks(self, kind, monkeypatch):
+        tensors, nbrs, params = conv_case(kind, 11, 24, 4, 3, 2, 93)
+        units = 3 if kind == "adapt" else 1
+        # 3 centres per block: blocks of 3, 3, 3 and a ragged 2
+        monkeypatch.setattr(L, "_BLOCK_BYTES", 8 * 4 * units * 2 * 3)
+        assert_matches_composite(kind, tensors, nbrs, params, 2)
+
+    def test_forward_bits_independent_of_block_size(self, kind, monkeypatch):
+        tensors, nbrs, params = conv_case(kind, 40, 64, 6, 3, 5, 94)
+        whole = L._conv_over_edges(kind, *tensors, nbrs, params, "c", 5).data
+        for budget in (1, 8 * 6 * 5 * 7, 8 * 6 * 5 * 100):
+            monkeypatch.setattr(L, "_BLOCK_BYTES", budget)
+            blocked = L._conv_over_edges(kind, *tensors, nbrs, params, "c", 5).data
+            np.testing.assert_array_equal(blocked, whole)
+
+    def test_tied_neighbours_route_to_lower_slot(self, kind):
+        tensors, _, params = conv_case(kind, 1, 4, 1, 2, 3, 95)
+        for t in tensors[2:]:
+            t.data[1:] = t.data[1]  # references 1, 2 and 3 coincide
+        nbrs = np.array([[3, 1, 2]])  # every edge ties; slot 0 holds reference 3
+        assert_matches_composite(kind, tensors, nbrs, params, 3)
+        g_fr = tensors[3].grad
+        assert np.abs(g_fr[3]).max() > 0.0
+        np.testing.assert_array_equal(g_fr[1:3], 0.0)
+        if kind == "adapt":
+            np.testing.assert_array_equal(tensors[2].grad[1:3], 0.0)
+
+    def test_neighbour_index_out_of_range(self, kind):
+        tensors, nbrs, params = conv_case(kind, 5, 8, 2, 2, 3, 97)
+        nbrs = nbrs.copy()
+        nbrs[4, 1] = 8
+        with pytest.raises(IndexError, match="out of range"):
+            L._conv_over_edges(kind, *tensors, nbrs, params, "c", 3)
+
+    def test_graph_conv_is_one_tape_node(self, kind):
+        (xc, fc, _, _), nbrs, params = conv_case(kind, 10, 10, 3, 2, 3, 96, pool=False)
+        graph = knn(xc.data, xc.data, 3)
+        out = L.graph_conv(kind, xc, fc, graph, params, "c", 3)
+        assert out._backward is not None
+        assert all(p._backward is None for p in out._parents)
+
+
 class TestGraphPool:
     def make(self, n, d_in, d_out, seed):
         pb = ParamBuilder(Rng(seed))

@@ -1,4 +1,5 @@
 """Losses, cycle arithmetic, the training loop, and evaluation."""
+import logging
 import tracemalloc
 from dataclasses import replace
 
@@ -328,6 +329,31 @@ class TestTrain:
             not np.array_equal(result.reverse_params[n].data, fresh_rev[n].data)
             for n in fresh_rev
         )
+
+    def test_one_progress_line_per_epoch(self, caplog):
+        cfg = ModelConfig(
+            points_per_shape=128, missing_ratio=0.25, width_scale=0.0625, knn_k=4,
+            down_rate=2, upsample_factors=(2, 2, 1), loss_mode="4L",
+        )
+        dataset = tiny_dataset(points=128, seed=5)
+        train_cfg = TrainConfig(epochs=2, batch_size=2, lr=1e-3, seed=5)
+        quiet = train(dataset, cfg, train_cfg)
+        with caplog.at_level(logging.INFO, logger="spcnet.training"):
+            result = train(dataset, cfg, train_cfg)
+        records = [r for r in caplog.records if r.name == "spcnet.training"]
+        assert [r.args[0] for r in records] == [1, 2]
+        assert all(r.levelno == logging.INFO and r.args[1] > 0.0 for r in records)
+        assert [r.args[2] for r in records] == [1e-3, 1e-3]
+        assert records[0].getMessage().startswith("epoch 1: ")
+        # the last step's gradients stay on both parameter sets
+        grads = [p.grad for p in result.params.values()]
+        grads += [p.grad for p in result.reverse_params.values()]
+        expected = np.sqrt(sum(float((g * g).sum()) for g in grads))
+        assert records[-1].args[3] == pytest.approx(expected, rel=1e-12)
+        # logging changes nothing the run produces
+        assert result.trace_lines() == quiet.trace_lines()
+        for name in quiet.params:
+            np.testing.assert_array_equal(result.params[name].data, quiet.params[name].data)
 
 
 class TestLeanTape:
