@@ -232,12 +232,21 @@ def load_dataset(data_dir) -> Dataset:
     manifest_path = data_dir / "manifest.json"
     if manifest_path.exists():
         with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        shapes = [
-            (entry["category"], read_xyz(data_dir / entry["file"]))
-            for entry in manifest["shapes"]
-        ]
-        return Dataset(shapes=shapes)
+            try:
+                manifest = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{manifest_path}: not valid JSON: {exc}") from None
+        entries = manifest.get("shapes") if isinstance(manifest, dict) else None
+        if not isinstance(entries, list) or not entries:
+            raise ValueError(f"{manifest_path}: needs a non-empty \"shapes\" list")
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict) or not all(
+                isinstance(entry.get(key), str) for key in ("category", "file")
+            ):
+                raise ValueError(f"{manifest_path}: shape {i} needs string category and file")
+        return Dataset(shapes=[
+            (entry["category"], read_xyz(data_dir / entry["file"])) for entry in entries
+        ])
     return ingest_category_tree(data_dir)
 
 

@@ -14,9 +14,16 @@ import numpy as np
 from .rng import Rng
 
 
-# Query rows per block are chosen so that one block's [rows, r] float64
-# distance matrix takes about this many bytes.
+# Blocked kernels (distances here, per-edge arrays in ``layers``) take rows
+# in blocks whose arrays are each about this many bytes.
 _BLOCK_BYTES = 2 << 20
+
+
+def row_blocks(rows: int, row_bytes: int) -> list:
+    """Slices over ``rows`` rows of ``row_bytes`` each, about ``_BLOCK_BYTES``
+    per slice."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return [slice(i, min(rows, i + step)) for i in range(0, rows, step)]
 
 
 def _columns(cloud: np.ndarray) -> np.ndarray:
@@ -41,19 +48,12 @@ def _sq_dists(query_cols: np.ndarray, ref_cols: np.ndarray) -> np.ndarray:
     return d2
 
 
-def pairwise_sq_dists(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """[q, r] squared Euclidean distances between two clouds."""
-    return _sq_dists(_columns(query), _columns(reference))
-
-
 def _distance_blocks(query: np.ndarray, reference: np.ndarray):
-    """Yield (first query row, [rows, r] squared distances) over blocks of
-    query rows, each block about ``_BLOCK_BYTES`` of distances; the reference
-    cloud must be non-empty."""
+    """Yield (first query row, [rows, r] squared distances) over the
+    ``row_blocks`` of the query rows; the reference cloud must be non-empty."""
     query_cols, ref_cols = _columns(query), _columns(reference)
-    rows = max(1, _BLOCK_BYTES // (8 * ref_cols.shape[1]))
-    for start in range(0, query_cols.shape[1], rows):
-        yield start, _sq_dists(query_cols[:, start:start + rows], ref_cols)
+    for rows in row_blocks(query_cols.shape[1], 8 * ref_cols.shape[1]):
+        yield rows.start, _sq_dists(query_cols[:, rows], ref_cols)
 
 
 def fps(cloud: np.ndarray, n: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .geometry import NeighborGraph, fps, knn, nearest_index
+from .geometry import NeighborGraph, fps, knn, nearest_index, row_blocks
 from .optim import ParamBuilder, ParamSet
 from .tensor import Tensor, as_tensor, constant
 
@@ -104,10 +104,6 @@ def self_knn_k(k: int, n: int) -> int:
     return max(1, min(k, n - 1))
 
 
-# Per-edge arrays of the fused convolution are built over blocks of centre
-# rows, each block array about this many bytes.
-_BLOCK_BYTES = 2 << 20
-
 # Graph convolutions by ``ModelConfig.conv_kind``: AdaptConv (Zhou et al., ICCV
 # 2021) and EdgeConv (Wang et al., DGCNN), as parameter builders
 # (pb, prefix, feat_width, m_out); ``_conv_over_edges`` runs both.
@@ -116,21 +112,6 @@ CONVS = {"adapt": adaptconv_params, "edge": edgeconv_params}
 
 def _leaky_factor(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, 1.0, EDGE_SLOPE)
-
-
-def _scatter_rows(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
-    """[rows, w] sums of the rows of ``values`` [n, w] by ``index`` [n]: the
-    sums ``np.add.at`` takes, in its order, by one ``bincount``."""
-    w = values.shape[1]
-    flat = (index.reshape(-1, 1) * w + np.arange(w)).reshape(-1)
-    return np.bincount(flat, weights=values.reshape(-1), minlength=rows * w).reshape(rows, w)
-
-
-def _row_blocks(rows: int, row_bytes: int) -> list:
-    """Slices over ``rows`` rows of ``row_bytes`` each, about ``_BLOCK_BYTES``
-    per slice."""
-    step = max(1, _BLOCK_BYTES // row_bytes)
-    return [slice(i, min(rows, i + step)) for i in range(0, rows, step)]
 
 
 def _hidden_units(pre: np.ndarray) -> np.ndarray:
@@ -203,7 +184,7 @@ def _conv_over_edges(
         hid_c, hid_r = generator_inputs()
     arg = np.empty((q, m_out), dtype=np.intp)
     best = np.empty((q, m_out))
-    blocks = _row_blocks(q, 8 * k * m_out * units)
+    blocks = row_blocks(q, 8 * k * m_out * units)
     z_buf = np.empty((blocks[0].stop, k, m_out, units))  # reused by every block
     for rows in blocks:
         nbrs = neighbors[rows]
@@ -234,7 +215,7 @@ def _conv_over_edges(
             g_hid_c = np.empty_like(hid_c)
             g_xr = np.zeros_like(xr)
             g_w0_r = np.zeros_like(w0_r)
-        for rows in _row_blocks(q, 8 * m_out * max(units, d)):
+        for rows in row_blocks(q, 8 * m_out * max(units, d)):
             # [m_out, qb] reference at each output's max edge
             picked = np.take_along_axis(neighbors[rows], arg[rows], axis=1).T
             gh = g_h[:, rows]
@@ -247,7 +228,7 @@ def _conv_over_edges(
             # g_a [m_out, qb, units]: gradient of A[i] (and of B at the max edge)
             g_fc[rows] = (g_a @ w_c.transpose(0, 2, 1)).sum(axis=0)
             g_w_c += fc_b.T @ g_a
-            g_fr += _scatter_rows(picked, (g_a @ w_r.transpose(0, 2, 1)).reshape(-1, d), r)
+            g_fr += T.scatter_rows(picked, (g_a @ w_r.transpose(0, 2, 1)).reshape(-1, d), r)
             g_w_r += fr_p.transpose(0, 2, 1) @ g_a
             if adapt:
                 z = fc_b @ w_c + fr_p @ w_r
@@ -255,7 +236,7 @@ def _conv_over_edges(
                 np.multiply(g_pre, EDGE_SLOPE, out=g_pre, where=pre <= 0.0)
                 g_hid_c[rows] = g_pre.sum(axis=0)
                 g_pre = g_pre.reshape(-1, units - 1)
-                g_xr += _scatter_rows(picked, g_pre @ w0_r.T, r)
+                g_xr += T.scatter_rows(picked, g_pre @ w0_r.T, r)
                 g_w0_r += xr[picked].reshape(-1, 3).T @ g_pre
         # W_c = W_top - W_bot and W_r = W_bot; back to the [units, m_out, 2d] kernel
         g_w_r -= g_w_c
@@ -333,11 +314,13 @@ def interpolate_up(
     k: int = 3,
 ) -> Tensor:
     """Inverse-distance weighted feature pull from the k nearest support
-    points.
+    points, as one tape node.
 
     The neighbor choice is fixed by the coordinate values, but the weights
-    stay on the tape, so gradients flow into the features and both coordinate
-    sets.
+    are differentiated, so gradients flow into the features and both
+    coordinate sets.  Forward and backward take the floating-point steps of
+    the composite form (gathers, distance, weight, share of the weight sum,
+    group sums; each a node), so both give the composite's bits.
     """
     query_coords = as_tensor(query_coords)
     support_coords = as_tensor(support_coords)
@@ -349,13 +332,30 @@ def interpolate_up(
     m = query_coords.shape[0]
     idx_q = np.repeat(np.arange(m, dtype=np.intp), k)
     idx_s = graph.neighbors.reshape(-1)
-    diff = T.gather_rows(query_coords, idx_q) - T.gather_rows(support_coords, idx_s)
+    diff = query_coords.data[idx_q] - support_coords.data[idx_s]
     # the inner guard keeps sqrt differentiable at exact coincidence
-    dist = ((diff * diff).sum(axis=1).reshape(m * k, 1) + 1e-16).sqrt()
-    w = 1.0 / (dist + 1e-8)
-    denom = T.gather_rows(T.group_sum_rows(w, k), idx_q)
-    contrib = T.gather_rows(support_feats, idx_s) * (w / denom)
-    return T.group_sum_rows(contrib, k)
+    dist = np.sqrt((diff * diff).sum(axis=1).reshape(m * k, 1) + 1e-16)
+    shifted = dist + 1e-8
+    w = 1.0 / shifted
+    denom = w.reshape(m, k, 1).sum(axis=1)[idx_q]
+    share = w / denom
+    picked = support_feats.data[idx_s]
+    out_data = (picked * share).reshape(m, k, -1).sum(axis=1)
+
+    def bwd(g):
+        g_contrib = np.repeat(g, k, axis=0)
+        g_share = T._unbroadcast(g_contrib * picked, share.shape)  # as the product's backward
+        g_denom = -g_share * w / (denom * denom)
+        g_w = g_share / denom
+        g_w += np.repeat(T.scatter_rows(idx_q, g_denom, m), k, axis=0)  # the weight sum
+        g_dist = -g_w / (shifted * shifted)
+        half = (g_dist * 0.5 / dist) * diff
+        g_diff = half + half  # once per factor of diff * diff
+        query_coords._accumulate(T.scatter_rows(idx_q, g_diff, m), owned=True)
+        support_coords._accumulate(T.scatter_rows(idx_s, -g_diff, s), owned=True)
+        support_feats._accumulate(T.scatter_rows(idx_s, g_contrib * share, s), owned=True)
+
+    return Tensor._node(out_data, (query_coords, support_coords, support_feats), bwd)
 
 
 def aggregate_prev_params(

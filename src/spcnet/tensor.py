@@ -141,30 +141,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        out_data = self.data / other.data
-        a_data, b_data = self.data, other.data
-
-        def bwd(g):
-            self._accumulate(_unbroadcast(g / b_data, a_data.shape), owned=True)
-            other._accumulate(
-                _unbroadcast(-g * a_data / (b_data * b_data), b_data.shape), owned=True
-            )
-
-        return Tensor._node(out_data, (self, other), bwd)
-
-    def __rtruediv__(self, other):
-        return as_tensor(other).__truediv__(self)
-
-    def sqrt(self) -> "Tensor":
-        root = np.sqrt(self.data)
-
-        def bwd(g):
-            self._accumulate(g * 0.5 / root, owned=True)
-
-        return Tensor._node(root, (self,), bwd)
-
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis: int | None = None) -> "Tensor":
@@ -176,10 +152,6 @@ class Tensor:
             self._accumulate(np.broadcast_to(g, shape).copy(), owned=True)
 
         return Tensor._node(out_data, (self,), bwd)
-
-    def mean(self, axis: int | None = None) -> "Tensor":
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis) * (1.0 / count)
 
     # -- shape ops ------------------------------------------------------------
 
@@ -305,6 +277,15 @@ def reduce_max_rows(x: Tensor) -> Tensor:
     return Tensor._node(out_data, (x,), bwd)
 
 
+def scatter_rows(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
+    """[rows, w] sums of the rows of ``values`` [n, w] by ``index`` [n], by
+    one ``bincount``: each sum starts at zero and adds its rows in order, as
+    an unbuffered scatter-add does."""
+    w = values.shape[1]
+    flat = (index.reshape(-1, 1) * w + np.arange(w)).reshape(-1)
+    return np.bincount(flat, weights=values.reshape(-1), minlength=rows * w).reshape(rows, w)
+
+
 def gather_rows(x: Tensor, idx) -> Tensor:
     """Select rows by index; backward scatter-adds into the sources."""
     x = as_tensor(x)
@@ -316,9 +297,9 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     shape = x.data.shape
 
     def bwd(g):
-        gx = np.zeros(shape)
-        np.add.at(gx, idx, g)
-        x._accumulate(gx, owned=True)
+        width = int(np.prod(shape[1:]))
+        gx = scatter_rows(idx.reshape(-1), g.reshape(idx.size, width), shape[0])
+        x._accumulate(gx.reshape(shape), owned=True)
 
     return Tensor._node(out_data, (x,), bwd)
 
@@ -370,21 +351,6 @@ def tile_rows(x: Tensor, k: int) -> Tensor:
 
     def bwd(g):
         x._accumulate(g.reshape(k, m, d).sum(axis=0), owned=True)
-
-    return Tensor._node(out_data, (x,), bwd)
-
-
-def group_sum_rows(x: Tensor, group_size: int) -> Tensor:
-    """Sum over consecutive row groups: [g*k, d] -> [g, d]."""
-    x = as_tensor(x)
-    total, d = x.data.shape
-    if total % group_size != 0:
-        raise ValueError(f"group_sum_rows: {total} rows not divisible by {group_size}")
-    groups = total // group_size
-    out_data = x.data.reshape(groups, group_size, d).sum(axis=1)
-
-    def bwd(g):
-        x._accumulate(np.repeat(g, group_size, axis=0), owned=True)
 
     return Tensor._node(out_data, (x,), bwd)
 

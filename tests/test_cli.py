@@ -178,6 +178,34 @@ class TestTrain:
         assert grid_r == 1.0 and isinstance(grid_r, float)
 
 
+class TestMalformedManifest:
+    @pytest.mark.parametrize("manifest, message", [
+        ({"shapes": []}, 'needs a non-empty "shapes" list'),
+        ({"shapes": [{"file": "shape_0000.xyz"}]}, "shape 0 needs string category and file"),
+        ({"shapes": [{"category": "sphere", "file": 3}]},
+         "shape 0 needs string category and file"),
+        ([1, 2], 'needs a non-empty "shapes" list'),
+    ])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_one_line_error_and_nothing_written(
+        self, tmp_path, data_dir, config_file, manifest, message, command, capsys
+    ):
+        manifest_path = data_dir / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--out", str(out), "--epochs", "1", "--config", str(config_file)]
+        else:
+            ckpt = tmp_path / "m.spcn"
+            config = ModelConfig(**{**TINY_OVERRIDES, "upsample_factors": (2, 2, 1)})
+            save_checkpoint(Checkpoint(config=config, params=init_params(config, 0)), ckpt)
+            argv = ["eval", "--ckpt", str(ckpt), "--report", str(out)]
+        capsys.readouterr()
+        assert main([*argv, "--data", str(data_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {manifest_path}: {message}\n"
+        assert not out.exists()
+
+
 class TestComplete:
     def test_output_contains_partial_verbatim_then_prediction(self, trained, tmp_path):
         ckpt = load_checkpoint(trained)

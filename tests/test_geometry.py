@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spcnet.geometry import (
+    _columns,
+    _sq_dists,
     fps,
     knn,
     nearest_index,
     normalize_cloud,
-    pairwise_sq_dists,
     rps,
     viewpoint_split,
     viewpoint_split_indices,
@@ -45,7 +46,7 @@ def fps_reference(points, n):
 
 
 def difference_sq_dists(query, reference):
-    """The [q, r, 3] difference formula that ``pairwise_sq_dists`` must match."""
+    """The [q, r, 3] difference formula that ``_sq_dists`` must match."""
     diff = query[:, None, :] - reference[None, :, :]
     return np.sum(diff * diff, axis=-1)
 
@@ -222,7 +223,8 @@ class TestPairwiseSqDists:
         query = rng.uniform(-1, 1, (300, 3)) * 10.0 ** rng.uniform(-3, 3, (300, 3))
         reference = rng.uniform(-1, 1, (500, 3)) * 10.0 ** rng.uniform(-3, 3, (500, 3))
         assert np.array_equal(
-            pairwise_sq_dists(query, reference), difference_sq_dists(query, reference)
+            _sq_dists(_columns(query), _columns(reference)),
+            difference_sq_dists(query, reference),
         )
 
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from spcnet import geometry as G
 from spcnet import layers as L
 from spcnet import tensor as T
 from spcnet.geometry import fps, knn, nearest_index
@@ -325,14 +326,14 @@ class TestFusedConv:
         tensors, nbrs, params = conv_case(kind, 11, 24, 4, 3, 2, 93)
         units = 3 if kind == "adapt" else 1
         # 3 centres per block: blocks of 3, 3, 3 and a ragged 2
-        monkeypatch.setattr(L, "_BLOCK_BYTES", 8 * 4 * units * 2 * 3)
+        monkeypatch.setattr(G, "_BLOCK_BYTES", 8 * 4 * units * 2 * 3)
         assert_matches_composite(kind, tensors, nbrs, params, 2)
 
     def test_forward_bits_independent_of_block_size(self, kind, monkeypatch):
         tensors, nbrs, params = conv_case(kind, 40, 64, 6, 3, 5, 94)
         whole = L._conv_over_edges(kind, *tensors, nbrs, params, "c", 5).data
         for budget in (1, 8 * 6 * 5 * 7, 8 * 6 * 5 * 100):
-            monkeypatch.setattr(L, "_BLOCK_BYTES", budget)
+            monkeypatch.setattr(G, "_BLOCK_BYTES", budget)
             blocked = L._conv_over_edges(kind, *tensors, nbrs, params, "c", 5).data
             np.testing.assert_array_equal(blocked, whole)
 
@@ -448,6 +449,22 @@ class TestInterpolateUp:
             return probe(L.interpolate_up(p["q"], p["s"], p["f"], k=3), 82)
 
         assert finite_diff_check(f, params) < 1e-4
+
+    def test_query_and_support_as_one_tensor(self):
+        params = {
+            "x": Tensor(cloud(7, 26), requires_grad=True),
+            "f": Tensor(feats(7, 3, 26), requires_grad=True),
+        }
+
+        def f(p):
+            return probe(L.interpolate_up(p["x"], p["x"], p["f"], k=3), 83)
+
+        assert finite_diff_check(f, params) < 1e-4
+
+    def test_one_tape_node(self):
+        q, s, f = (T.parameter(a) for a in (cloud(4, 27), cloud(6, 28), feats(6, 2, 28)))
+        out = L.interpolate_up(q, s, f, k=3)
+        assert out._parents == (q, s, f)
 
 
 class TestAggregatePrev:

@@ -303,13 +303,6 @@ class TestPurityAndMisc:
         backward(out.sum())
         np.testing.assert_array_equal(x.grad, [[1.0], [0.0], [0.0], [1.0]])
 
-    def test_group_sum_rows(self):
-        x = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
-        out = T.group_sum_rows(x, 2)
-        np.testing.assert_array_equal(out.data, [[2.0, 4.0], [10.0, 12.0]])
-        backward((out * Tensor([[1.0, 2.0], [3.0, 4.0]])).sum())
-        np.testing.assert_array_equal(x.grad, [[1, 2], [1, 2], [3, 4], [3, 4]])
-
     def test_tile_rows_backward_sums_replicas(self):
         x = Tensor(rand((3, 2), 21), requires_grad=True)
         backward(T.tile_rows(x, 4).sum())

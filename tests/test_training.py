@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spcnet.geometry as G
 import spcnet.training as tr
 from spcnet.data import generate_shapes
 from spcnet.geometry import fps, viewpoint_split
@@ -85,6 +86,53 @@ class TestChamfer:
         }
         err = finite_diff_check(lambda p: chamfer(p["a"], p["b"]), params)
         assert err < 1e-5
+
+    def test_same_tensor_on_both_sides(self):
+        params = {"x": Tensor(cloud(12, 8), requires_grad=True)}
+        assert finite_diff_check(lambda p: chamfer(p["x"], p["x"]), params) < 1e-5
+        np.testing.assert_array_equal(params["x"].grad, 0.0)
+
+    def test_only_first_cloud_tracked_matches_both_tracked(self):
+        a, b = cloud(15, 9), cloud(11, 10)
+        both = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        backward(chamfer(*both) * 0.7)
+        alone = Tensor(a, requires_grad=True)
+        backward(chamfer(alone, Tensor(b)) * 0.7)
+        np.testing.assert_array_equal(alone.grad, both[0].grad)
+
+    def test_one_tape_node(self):
+        a, b = Tensor(cloud(5, 11), requires_grad=True), Tensor(cloud(6, 12))
+        assert chamfer(a, b)._parents == (a, b)
+
+    def test_blocks_and_lattice_ties_match_full_matrix_argmin(self, monkeypatch):
+        axis = np.arange(5.0)
+        lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        # cell centres and edge midpoints sit at equal distance from several
+        # lattice points
+        a = np.vstack([lattice[:64] + 0.5, lattice[:40] + [0.5, 0.0, 0.0]])
+        b = lattice
+        diff = a[:, None, :] - b[None, :, :]
+        full = np.sum(diff * diff, axis=-1)
+        assert (full == full.min(axis=1, keepdims=True)).sum(axis=1).min() >= 2
+        assert (full == full.min(axis=0, keepdims=True)).sum(axis=0).max() >= 2
+        whole = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        backward(chamfer(*whole))
+        monkeypatch.setattr(G, "_BLOCK_BYTES", 8 * 30 * len(b))  # 30 rows of a per block
+        assert len(G.row_blocks(len(a), 8 * len(b))) >= 3
+        assert len(G.row_blocks(len(b), 8 * len(a))) >= 3
+        idx_ab, idx_ba = full.argmin(axis=1), full.argmin(axis=0)
+        np.testing.assert_array_equal(G.nearest_index(a, b), idx_ab)
+        np.testing.assert_array_equal(G.nearest_index(b, a), idx_ba)
+        da, db = a - b[idx_ab], b - a[idx_ba]
+        expected = (da * da).sum(axis=1).sum() * (1.0 / len(a)) + (
+            (db * db).sum(axis=1).sum() * (1.0 / len(b))
+        )
+        blocked = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        value = chamfer(*blocked)
+        assert value.item() == expected
+        backward(value)
+        for got, want in zip(blocked, whole):
+            np.testing.assert_array_equal(got.grad, want.grad)
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
