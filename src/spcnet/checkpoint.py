@@ -79,11 +79,18 @@ def _parse_config_block(blob: bytes, path) -> tuple[ModelConfig, dict, dict]:
             continue
         key, _, value = line.partition("=")
         entries[key] = value
-    kwargs = {}
-    for f in dataclass_fields(ModelConfig):
-        if f.name in entries:
-            kwargs[f.name] = _decode_value(entries[f.name], f.default, path, f.name)
-    config = ModelConfig(**kwargs)
+    # every config field and the has_adam flag, nothing unknown
+    required = [f.name for f in dataclass_fields(ModelConfig)] + ["has_adam"]
+    for key in entries:
+        if key not in required and key != "adam.t" and not key.startswith("meta."):
+            raise CheckpointError(f"{path}: unknown config key {key!r}")
+    for key in required:
+        if key not in entries:
+            raise CheckpointError(f"{path}: config key {key!r} is missing")
+    config = ModelConfig(**{
+        f.name: _decode_value(entries[f.name], f.default, path, f.name)
+        for f in dataclass_fields(ModelConfig)
+    })
     try:
         config.validate()
     except ValueError as exc:

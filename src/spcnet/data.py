@@ -244,9 +244,18 @@ def load_dataset(data_dir) -> Dataset:
                 isinstance(entry.get(key), str) for key in ("category", "file")
             ):
                 raise ValueError(f"{manifest_path}: shape {i} needs string category and file")
-        return Dataset(shapes=[
-            (entry["category"], read_xyz(data_dir / entry["file"])) for entry in entries
-        ])
+        shapes = []
+        for entry in entries:
+            path = data_dir / entry["file"]
+            points = read_xyz(path)
+            if not len(points):
+                raise ValueError(f"{path}: no points")
+            if shapes and len(points) != len(shapes[0][1]):
+                raise ValueError(
+                    f"{path}: {len(points)} points, but the first file has {len(shapes[0][1])}"
+                )
+            shapes.append((entry["category"], points))
+        return Dataset(shapes=shapes)
     return ingest_category_tree(data_dir)
 
 

@@ -406,25 +406,21 @@ class VmlpSpec:
 
 
 def _vmlp_layout(spec: VmlpSpec):
-    """(sub-net count, per-sub dims, pooled width, adjust out, conv feat width)."""
+    """(sub-net count, per-sub dims, pooled layers per sub, adjust width)."""
     if spec.kind == "vmlp":
-        dims = spec.sub_dims
-        return 3, dims, sum(dims[-4:]), spec.adjust_width, 3 * (spec.adjust_width + 1)
+        return 3, spec.sub_dims, 4, spec.adjust_width
     if spec.kind == "pointnet_mlp":
-        dims = spec.sub_dims
-        return 1, dims, dims[-1], spec.adjust_width, spec.adjust_width + 3
-    dims = tuple(3 * d for d in spec.sub_dims)
-    adjust = 3 * spec.adjust_width
-    return 1, dims, sum(dims[-4:]), adjust, adjust + 3
+        return 1, spec.sub_dims, 1, spec.adjust_width
+    return 1, tuple(3 * d for d in spec.sub_dims), 4, 3 * spec.adjust_width
 
 
 def vmlp_params(pb: ParamBuilder, prefix: str, spec: VmlpSpec) -> None:
-    n_subs, dims, pooled, adjust, conv_feat = _vmlp_layout(spec)
+    n_subs, dims, n_pooled, adjust = _vmlp_layout(spec)
     for s in range(n_subs):
         shared_mlp_params(pb, f"{prefix}.sub{s}", 3, LayerSpec(dims))
-    pb.weight(f"{prefix}.adjust.w", pooled, adjust)
+    pb.weight(f"{prefix}.adjust.w", sum(dims[-n_pooled:]), adjust)
     pb.bias(f"{prefix}.adjust.b", adjust)
-    adaptconv_params(pb, f"{prefix}.conv", conv_feat, spec.out_width)
+    adaptconv_params(pb, f"{prefix}.conv", n_subs * adjust + 3, spec.out_width)
 
 
 def vmlp(
@@ -437,40 +433,39 @@ def vmlp(
 ):
     """Point-wise global feature from parallel MLP sub-nets.
 
-    Each sub-net runs over the full coordinates; the last four layer outputs
-    are max-pooled and concatenated, adjusted by a linear layer, repeated per
-    point, paired with one coordinate column, and the joined blocks pass
-    through a final adaptive convolution over ``graph``, the cloud's graph
-    on itself.
+    Each sub-net runs over the full coordinates and its last layer outputs
+    (four, or one for ``pointnet_mlp``) are max-pooled; the pooled vectors
+    form one ``[subs, P]`` tensor that a shared linear layer adjusts row by
+    row.  Each sub-net's code is repeated per point and joined to its share
+    of the coordinate columns (one column each for three sub-nets, all three
+    for one), giving ``[a0, x, a1, y, a2, z]`` or ``[a, x, y, z]``, and the
+    joined rows pass through a final adaptive convolution over ``graph``,
+    the cloud's graph on itself.  ``return_pooled`` also returns the
+    ``[subs, P]`` pooled tensor.
     """
     points = as_tensor(points)
     n = points.shape[0]
     if n < 2:
         raise ValueError(f"vmlp: need at least 2 points, got {n}")
-    n_subs, dims, _, _, _ = _vmlp_layout(spec)
+    n_subs, dims, n_pooled, adjust = _vmlp_layout(spec)
 
-    pooled_vectors = []
-    blocks = []
+    maxima = []
     for s in range(n_subs):
         _, per_layer = shared_mlp(
             points, LayerSpec(dims), params, f"{prefix}.sub{s}", collect=True
         )
-        if spec.kind == "pointnet_mlp":
-            pooled = T.reduce_max_rows(per_layer[-1])
-        else:
-            pooled = T.concat([T.reduce_max_rows(o) for o in per_layer[-4:]], axis=0)
-        pooled_vectors.append(pooled)
-        adjusted = T.linear(
-            pooled.reshape(1, -1), params[f"{prefix}.adjust.w"], params[f"{prefix}.adjust.b"]
-        )
-        repeated = T.tile_rows(adjusted, n)
-        if spec.kind == "vmlp":
-            blocks.append(T.concat([repeated, T.slice_cols(points, s, s + 1)], axis=1))
-        else:
-            blocks.append(T.concat([repeated, points], axis=1))
-    per_point = T.concat(blocks, axis=1) if len(blocks) > 1 else blocks[0]
+        maxima += [T.reduce_max_rows(o) for o in per_layer[-n_pooled:]]
+    pooled = T.concat(maxima).reshape(n_subs, -1)
+    codes = T.linear(pooled, params[f"{prefix}.adjust.w"], params[f"{prefix}.adjust.b"])
+    # the tiled codes live only inside the join: without a tape they are
+    # freed before the conv runs
+    per_point = T.concat(
+        [T.tile_rows(codes.reshape(1, -1), n).reshape(n, n_subs, adjust),
+         points.reshape(n, n_subs, -1)],
+        axis=2,
+    ).reshape(n, -1)
     out = graph_conv("adapt", points, per_point, graph, params, f"{prefix}.conv", spec.out_width)
-    return (out, pooled_vectors) if return_pooled else out
+    return (out, pooled) if return_pooled else out
 
 
 # ---------------------------------------------------------------------------

@@ -305,7 +305,7 @@ def gather_rows(x: Tensor, idx) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate along ``axis`` (0 or 1); backward slices the gradient back."""
+    """Concatenate along any ``axis``; backward slices the gradient back."""
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise ValueError("concat: need at least one tensor")
@@ -328,19 +328,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             start += size
 
     return Tensor._node(out_data, tuple(tensors), bwd)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    x = as_tensor(x)
-    out_data = x.data[:, start:stop]
-    shape = x.data.shape
-
-    def bwd(g):
-        gx = np.zeros(shape)
-        gx[:, start:stop] = g
-        x._accumulate(gx, owned=True)
-
-    return Tensor._node(out_data, (x,), bwd)
 
 
 def tile_rows(x: Tensor, k: int) -> Tensor:

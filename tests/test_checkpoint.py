@@ -228,6 +228,19 @@ class TestConfigErrors:
             load_checkpoint(path)
         assert str(info.value) == f"{path}: config key {key!r}: cannot read {text!r} as {kind}"
 
+    @pytest.mark.parametrize("old, new, message", [
+        (b"knn_k=4\n", b"", "config key 'knn_k' is missing"),
+        (b"has_adam=False\n", b"", "config key 'has_adam' is missing"),
+        (b"knn_k=4\n", b"knn=4\n", "unknown config key 'knn'"),
+        (b"has_adam=False\n", b"has_adam=False\ncolour=red\n", "unknown config key 'colour'"),
+    ])
+    def test_missing_or_unknown_key_names_file_and_key(self, tmp_path, old, new, message):
+        path = self.saved(tmp_path)
+        rewrite_config_block(path, old, new)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_unreadable_adam_step_names_file_and_key(self, tmp_path):
         path = self.saved(tmp_path, with_adam=True)
         rewrite_config_block(path, b"adam.t=5", b"adam.t=5.5")

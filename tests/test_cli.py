@@ -178,6 +178,16 @@ class TestTrain:
         assert grid_r == 1.0 and isinstance(grid_r, float)
 
 
+def data_command(command, tmp_path, config_file, out):
+    """Arguments, all but ``--data``, of a ``train`` or ``eval`` run writing ``out``."""
+    if command == "train":
+        return ["train", "--out", str(out), "--epochs", "1", "--config", str(config_file)]
+    ckpt = tmp_path / "m.spcn"
+    config = ModelConfig(**{**TINY_OVERRIDES, "upsample_factors": (2, 2, 1)})
+    save_checkpoint(Checkpoint(config=config, params=init_params(config, 0)), ckpt)
+    return ["eval", "--ckpt", str(ckpt), "--report", str(out)]
+
+
 class TestMalformedManifest:
     @pytest.mark.parametrize("manifest, message", [
         ({"shapes": []}, 'needs a non-empty "shapes" list'),
@@ -193,16 +203,29 @@ class TestMalformedManifest:
         manifest_path = data_dir / "manifest.json"
         manifest_path.write_text(json.dumps(manifest))
         out = tmp_path / "out"
-        if command == "train":
-            argv = ["train", "--out", str(out), "--epochs", "1", "--config", str(config_file)]
-        else:
-            ckpt = tmp_path / "m.spcn"
-            config = ModelConfig(**{**TINY_OVERRIDES, "upsample_factors": (2, 2, 1)})
-            save_checkpoint(Checkpoint(config=config, params=init_params(config, 0)), ckpt)
-            argv = ["eval", "--ckpt", str(ckpt), "--report", str(out)]
+        argv = data_command(command, tmp_path, config_file, out)
         capsys.readouterr()
         assert main([*argv, "--data", str(data_dir)]) == 1
         assert capsys.readouterr().err == f"error: {manifest_path}: {message}\n"
+        assert not out.exists()
+
+
+class TestMiscountedFile:
+    @pytest.mark.parametrize("index, rows, message", [
+        (0, 0, "no points"),
+        (1, 2, "2 points, but the first file has 64"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_or_miscounted_file_named(
+        self, tmp_path, data_dir, config_file, index, rows, message, command, capsys
+    ):
+        bad = data_dir / f"shape_{index:04d}.xyz"
+        write_xyz(np.zeros((rows, 3)), bad)
+        out = tmp_path / "out"
+        argv = data_command(command, tmp_path, config_file, out)
+        capsys.readouterr()
+        assert main([*argv, "--data", str(data_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not out.exists()
 
 

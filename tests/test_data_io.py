@@ -112,6 +112,20 @@ class TestGenerate:
         for (_, a), (_, b) in zip(written.shapes, loaded.shapes):
             assert np.abs(a - b).max() < 1e-8
 
+    @pytest.mark.parametrize("index, rows, message", [
+        (0, 0, "no points"),
+        (2, 0, "no points"),
+        (1, 2, "2 points, but the first file has 64"),
+    ])
+    def test_empty_or_miscounted_file_named(self, tmp_path, index, rows, message):
+        out = tmp_path / "data"
+        generate_dataset(out, ["torus", "plane"], 3, 64, 11)
+        bad = out / f"shape_{index:04d}.xyz"
+        write_xyz(cloud(rows, 12), bad)
+        with pytest.raises(ValueError) as info:
+            load_dataset(out)
+        assert str(info.value) == f"{bad}: {message}"
+
 
 class TestIngest:
     def make_tree(self, tmp_path, with_labels=False, broken=False):

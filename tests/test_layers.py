@@ -508,6 +508,28 @@ class TestAggregatePrev:
             )
 
 
+def vmlp_reference(pts, graph, params, spec):
+    """The per-sub formulation: each sub-net's pooled vector adjusted as a
+    row of its own, repeated per point and joined to its coordinate column
+    (three sub-nets) or to all three columns (one sub-net)."""
+    n_subs = 3 if spec.kind == "vmlp" else 1
+    n_pooled = 1 if spec.kind == "pointnet_mlp" else 4
+    dims = tuple(3 * d for d in spec.sub_dims) if spec.kind == "one_subnet" else spec.sub_dims
+    blocks = []
+    for s in range(n_subs):
+        _, per_layer = L.shared_mlp(
+            Tensor(pts), L.LayerSpec(dims), params, f"v.sub{s}", collect=True
+        )
+        pooled = np.concatenate([o.data.max(axis=0) for o in per_layer[-n_pooled:]])
+        code = pooled[None] @ params["v.adjust.w"].data + params["v.adjust.b"].data
+        cols = pts[:, s:s + 1] if n_subs == 3 else pts
+        blocks.append(np.hstack([np.repeat(code, len(pts), axis=0), cols]))
+    per_point = Tensor(np.hstack(blocks))
+    return L.graph_conv(
+        "adapt", Tensor(pts), per_point, graph, params, "v.conv", spec.out_width
+    ).data
+
+
 class TestVmlp:
     SPEC = L.VmlpSpec(sub_dims=(2, 3, 4, 4, 6), adjust_width=3, out_width=5)
 
@@ -535,8 +557,8 @@ class TestVmlp:
             Tensor(pts[perm]), self_graph(pts[perm], 4), params, "v", self.SPEC,
             return_pooled=True,
         )
-        for a, b in zip(pooled, pooled_p):
-            np.testing.assert_allclose(a.data, b.data, atol=1e-12)
+        assert pooled.shape == (3, 17)  # three sub-nets, last four widths 3+4+4+6
+        np.testing.assert_allclose(pooled_p.data, pooled.data, atol=1e-12)
         np.testing.assert_allclose(out_p.data, out.data[perm], atol=1e-10)
 
     def test_duplication_leaves_pooled_vectors_unchanged(self):
@@ -550,8 +572,20 @@ class TestVmlp:
             Tensor(doubled), self_graph(doubled, 4), params, "v", self.SPEC,
             return_pooled=True,
         )
-        for a, b in zip(pooled, pooled_d):
-            np.testing.assert_allclose(a.data, b.data, atol=1e-12)
+        assert pooled.shape == (3, 17)
+        np.testing.assert_allclose(pooled_d.data, pooled.data, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", L.VMLP_KINDS)
+    def test_matches_per_sub_reference(self, kind):
+        spec = L.VmlpSpec(sub_dims=(2, 3, 4, 4, 6), adjust_width=3, out_width=5, kind=kind)
+        pb = ParamBuilder(Rng(41))
+        L.vmlp_params(pb, "v", spec)
+        pts = cloud(12, 41)
+        graph = self_graph(pts, 4)
+        out = L.vmlp(Tensor(pts), graph, pb.entries, "v", spec)
+        np.testing.assert_allclose(
+            out.data, vmlp_reference(pts, graph, pb.entries, spec), rtol=1e-12
+        )
 
     def test_variant_output_shapes(self):
         for kind in ("pointnet_mlp", "one_subnet"):

@@ -198,11 +198,18 @@ class TestConcat:
         np.testing.assert_array_equal(out.data[:, :2], a)
         np.testing.assert_array_equal(out.data[:, 2:], b)
 
-    def test_round_trip_slice_bit_identical(self):
-        a, b = rand((4, 2), 15), rand((4, 3), 16)
-        joined = T.concat([Tensor(a), Tensor(b)], axis=1)
-        np.testing.assert_array_equal(T.slice_cols(joined, 0, 2).data, a)
-        np.testing.assert_array_equal(T.slice_cols(joined, 2, 5).data, b)
+    def test_third_axis_layout(self):
+        a, b = rand((4, 3, 2), 15), rand((4, 3, 1), 16)
+        out = T.concat([Tensor(a), Tensor(b)], axis=2)
+        np.testing.assert_array_equal(out.data, np.concatenate([a, b], axis=2))
+
+    def test_third_axis_gradient_slices_back(self):
+        a = Tensor(rand((4, 3, 2), 15), requires_grad=True)
+        b = Tensor(rand((4, 3, 1), 16), requires_grad=True)
+        upstream = rand((4, 3, 3), 17)
+        backward((T.concat([a, b], axis=2) * Tensor(upstream)).sum())
+        np.testing.assert_array_equal(a.grad, upstream[:, :, :2])
+        np.testing.assert_array_equal(b.grad, upstream[:, :, 2:])
 
     def test_extent_mismatch(self):
         with pytest.raises(ValueError, match="disagree"):
