@@ -72,17 +72,24 @@ def _config_block(ckpt: Checkpoint) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _parse_config_block(blob: bytes, path) -> tuple[ModelConfig, dict, dict]:
+def _parse_config_block(blob: bytes, path) -> tuple[ModelConfig, dict, int | None]:
+    """The stored config, meta entries and Adam step (None without Adam state)."""
     entries = {}
     for line in blob.decode("utf-8").splitlines():
         if not line:
             continue
         key, _, value = line.partition("=")
         entries[key] = value
-    # every config field and the has_adam flag, nothing unknown
+    if "has_adam" not in entries:
+        raise CheckpointError(f"{path}: config key 'has_adam' is missing")
+    has_adam = _decode_value(entries["has_adam"], False, path, "has_adam")
+    # every config field, the has_adam flag and, exactly when it is True, the
+    # Adam step; nothing unknown
     required = [f.name for f in dataclass_fields(ModelConfig)] + ["has_adam"]
+    if has_adam:
+        required.append("adam.t")
     for key in entries:
-        if key not in required and key != "adam.t" and not key.startswith("meta."):
+        if key not in required and not key.startswith("meta."):
             raise CheckpointError(f"{path}: unknown config key {key!r}")
     for key in required:
         if key not in entries:
@@ -96,8 +103,8 @@ def _parse_config_block(blob: bytes, path) -> tuple[ModelConfig, dict, dict]:
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     meta = {k[5:]: v for k, v in entries.items() if k.startswith("meta.")}
-    extras = {k: v for k, v in entries.items() if k in ("has_adam", "adam.t")}
-    return config, meta, extras
+    adam_t = _decode_value(entries["adam.t"], 0, path, "adam.t") if has_adam else None
+    return config, meta, adam_t
 
 
 # -- binary io ----------------------------------------------------------------
@@ -168,7 +175,7 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: unsupported version {version} at offset 4"
         )
     config_len = r.u32("config length")
-    config, meta, extras = _parse_config_block(r.take(config_len, "config block"), path)
+    config, meta, adam_t = _parse_config_block(r.take(config_len, "config block"), path)
     count = r.u32("tensor count")
     raw: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -186,10 +193,9 @@ def load_checkpoint(path) -> Checkpoint:
 
     # exactly the tensors the config registers, with their Adam moments
     # when the file says it holds them
-    has_adam = extras.get("has_adam") == "True"
     layout = {n: p.shape for n, p in init_params(config, None).items()}
     expected = dict(layout)
-    if has_adam:
+    if adam_t is not None:
         expected.update((f"adam.{s}.{n}", shape) for s in "mv" for n, shape in layout.items())
     for name, shape in expected.items():
         if name not in raw:
@@ -201,10 +207,10 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: unexpected tensor {name!r}")
     params: ParamSet = {n: Tensor(raw[n], requires_grad=True) for n in layout}
     adam = None
-    if has_adam:
+    if adam_t is not None:
         adam = AdamState(
             m={n: raw[f"adam.m.{n}"] for n in params},
             v={n: raw[f"adam.v.{n}"] for n in params},
-            t=_decode_value(extras.get("adam.t", "0"), 0, path, "adam.t"),
+            t=adam_t,
         )
     return Checkpoint(config=config, params=params, adam=adam, meta=meta)

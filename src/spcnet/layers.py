@@ -58,7 +58,8 @@ def shared_mlp_params(pb: ParamBuilder, prefix: str, d_in: int, spec: LayerSpec)
 def shared_mlp(
     x: Tensor, spec: LayerSpec, params: ParamSet, prefix: str, collect: bool = False
 ):
-    """Per-point linear -> batch_norm -> relu stack.
+    """Per-point linear -> batch_norm -> relu stack, one ``T.linear`` node
+    per layer.
 
     Normalization uses the statistics of the rows at hand, so the map is a
     pure function of (input, params).  With ``collect`` the per-layer outputs
@@ -67,17 +68,12 @@ def shared_mlp(
     x = as_tensor(x)
     outputs = []
     for i in range(len(spec.dims)):
-        if _layer_has_post(spec, i):
-            if spec.use_bn:
-                x = T.matmul(x, params[f"{prefix}.l{i}.w"])
-                x = T.batch_norm(
-                    x, params[f"{prefix}.l{i}.bn.gamma"], params[f"{prefix}.l{i}.bn.beta"]
-                )
-            else:
-                x = T.linear(x, params[f"{prefix}.l{i}.w"], params[f"{prefix}.l{i}.b"])
-            x = T.relu(x)
+        p, post = f"{prefix}.l{i}", _layer_has_post(spec, i)
+        if spec.use_bn and post:  # the norm's shift stands in for the bias
+            b, gamma = params[f"{p}.bn.beta"], params[f"{p}.bn.gamma"]
         else:
-            x = T.linear(x, params[f"{prefix}.l{i}.w"], params[f"{prefix}.l{i}.b"])
+            b, gamma = params[f"{p}.b"], None
+        x = T.linear(x, params[f"{p}.w"], b, gamma, relu=post)
         outputs.append(x)
     return (x, outputs) if collect else x
 
@@ -434,14 +430,14 @@ def vmlp(
     """Point-wise global feature from parallel MLP sub-nets.
 
     Each sub-net runs over the full coordinates and its last layer outputs
-    (four, or one for ``pointnet_mlp``) are max-pooled; the pooled vectors
-    form one ``[subs, P]`` tensor that a shared linear layer adjusts row by
-    row.  Each sub-net's code is repeated per point and joined to its share
-    of the coordinate columns (one column each for three sub-nets, all three
-    for one), giving ``[a0, x, a1, y, a2, z]`` or ``[a, x, y, z]``, and the
-    joined rows pass through a final adaptive convolution over ``graph``,
-    the cloud's graph on itself.  ``return_pooled`` also returns the
-    ``[subs, P]`` pooled tensor.
+    (four, or one for ``pointnet_mlp``) are max-pooled, every sub-net's in
+    one tape node, into one ``[subs, P]`` tensor that a shared linear layer
+    adjusts row by row.  Each sub-net's code is repeated per point and
+    joined to its share of the coordinate columns (one column each for
+    three sub-nets, all three for one), giving ``[a0, x, a1, y, a2, z]`` or
+    ``[a, x, y, z]``, and the joined rows pass through a final adaptive
+    convolution over ``graph``, the cloud's graph on itself.
+    ``return_pooled`` also returns the ``[subs, P]`` pooled tensor.
     """
     points = as_tensor(points)
     n = points.shape[0]
@@ -449,13 +445,13 @@ def vmlp(
         raise ValueError(f"vmlp: need at least 2 points, got {n}")
     n_subs, dims, n_pooled, adjust = _vmlp_layout(spec)
 
-    maxima = []
+    last_layers = []
     for s in range(n_subs):
         _, per_layer = shared_mlp(
             points, LayerSpec(dims), params, f"{prefix}.sub{s}", collect=True
         )
-        maxima += [T.reduce_max_rows(o) for o in per_layer[-n_pooled:]]
-    pooled = T.concat(maxima).reshape(n_subs, -1)
+        last_layers += per_layer[-n_pooled:]
+    pooled = T.reduce_max_rows(*last_layers).reshape(n_subs, -1)
     codes = T.linear(pooled, params[f"{prefix}.adjust.w"], params[f"{prefix}.adjust.b"])
     # the tiled codes live only inside the join: without a tape they are
     # freed before the conv runs

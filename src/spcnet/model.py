@@ -231,7 +231,7 @@ def coarse_stage(p_down: Tensor, params: ParamSet, config: ModelConfig) -> Tenso
     w = width_schedule(config.width_scale)
     enc = L.shared_mlp(p_down, L.LayerSpec(w.coarse_enc), params, "coarse.enc")
     code = global_code(enc).reshape(1, -1)
-    hidden = T.relu(T.linear(code, params["coarse.dec.l0.w"], params["coarse.dec.l0.b"]))
+    hidden = T.linear(code, params["coarse.dec.l0.w"], params["coarse.dec.l0.b"], relu=True)
     flat = T.linear(hidden, params["coarse.dec.l1.w"], params["coarse.dec.l1.b"])
     return flat.reshape(config.coarse_count, 3)
 

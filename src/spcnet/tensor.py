@@ -183,44 +183,75 @@ def parameter(value) -> Tensor:
 # spec-level operations
 # ---------------------------------------------------------------------------
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Row-wise affine map ``x @ w + b``; differentiable in all arguments."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+def linear(x: Tensor, w: Tensor | None, b: Tensor, gamma: Tensor | None = None,
+           relu: bool = False) -> Tensor:
+    """One MLP layer as one tape node: ``x @ w`` (skipped when ``w`` is
+    None), then the bias ``b`` or, with ``gamma``, the batch norm of the rows
+    scaled by ``gamma`` and shifted by ``b``, then relu if asked.
+
+    The norm uses the rows' own (biased) statistics, so the map is a pure
+    function of the rows at hand; the epsilon guard keeps zero-variance
+    columns (one-row batches too) finite.  Forward and backward take the
+    floating-point steps of the composite form (one node per step), so both
+    give its bits.
+    """
+    x, b = as_tensor(x), as_tensor(b)
+    if x.data.ndim != 2:
+        raise ValueError(f"linear: need a 2-d input, got shape {x.data.shape}")
+    parents, pre = (x, b), x.data
+    if w is not None:
+        w = as_tensor(w)
+        if w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+            raise ValueError(
+                f"linear: inner dimensions disagree, x has shape {x.data.shape} "
+                f"and w has shape {w.data.shape}"
+            )
+        parents += (w,)
+        x_data, w_data = x.data, w.data
+        pre = x_data @ w_data
+    if b.data.shape != pre.shape[1:]:
         raise ValueError(
-            f"linear: inner dimensions disagree, x has shape {x.data.shape} "
-            f"and w has shape {w.data.shape}"
+            f"linear: bias shape {b.data.shape} does not match output width {pre.shape[1]}"
         )
-    if b.data.shape != (w.data.shape[1],):
-        raise ValueError(
-            f"linear: bias shape {b.data.shape} does not match output width "
-            f"{w.data.shape[1]}"
-        )
-    out_data = x.data @ w.data + b.data
-    x_data, w_data = x.data, w.data
+    if gamma is None:
+        out_data = pre + b.data
+    else:
+        gamma = as_tensor(gamma)
+        parents += (gamma,)
+        if pre.shape[0] < 1 or gamma.data.shape != b.data.shape:
+            raise ValueError(
+                f"batch_norm: need a non-empty input and a gamma per column, "
+                f"got {pre.shape} and {gamma.data.shape}"
+            )
+        inv_n = 1.0 / pre.shape[0]
+        centered = pre - pre.sum(axis=0) * inv_n
+        var_eps = (centered * centered).sum(axis=0) * inv_n + 1e-5
+        scale = var_eps ** -0.5
+        out_data = gamma.data * (centered * scale) + b.data
+    if relu:
+        np.maximum(out_data, 0.0, out=out_data)
 
     def bwd(g):
-        x._accumulate(g @ w_data.T, owned=True)
-        w._accumulate(x_data.T @ g, owned=True)
+        if relu:
+            g = g * (out_data > 0.0)  # relu keeps the sign, so the output gives its slope
         b._accumulate(g.sum(axis=0), owned=True)
+        if gamma is not None:
+            gamma._accumulate((g * (centered * scale)).sum(axis=0), owned=True)
+            g_normed = g * gamma.data
+            # through scale = var_eps ** -0.5 to the variance, then to each square
+            g_square = (g_normed * centered).sum(axis=0) * -0.5 * var_eps ** -1.5 * inv_n
+            g = g_normed * scale
+            via_square = g_square * centered
+            g += via_square  # once per factor of centered * centered
+            g += via_square
+            g -= g.sum(axis=0) * inv_n  # through the mean
+        if w is None:
+            x._accumulate(g, owned=gamma is not None)
+        else:
+            x._accumulate(g @ w_data.T, owned=True)
+            w._accumulate(x_data.T @ g, owned=True)
 
-    return Tensor._node(out_data, (x, w, b), bwd)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ValueError(
-            f"matmul: inner dimensions disagree, {a.data.shape} vs {b.data.shape}"
-        )
-    out_data = a.data @ b.data
-    a_data, b_data = a.data, b.data
-
-    def bwd(g):
-        a._accumulate(g @ b_data.T, owned=True)
-        b._accumulate(a_data.T @ g, owned=True)
-
-    return Tensor._node(out_data, (a, b), bwd)
+    return Tensor._node(out_data, parents, bwd)
 
 
 def activation(x: Tensor, kind: str, slope: float = 0.2) -> Tensor:
@@ -252,29 +283,24 @@ def activation(x: Tensor, kind: str, slope: float = 0.2) -> Tensor:
     return Tensor._node(out_data, (x,), bwd)
 
 
-def relu(x: Tensor) -> Tensor:
-    return activation(x, "relu")
-
-
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    return activation(x, "leaky_relu", slope)
-
-
-def reduce_max_rows(x: Tensor) -> Tensor:
-    """Column-wise max over rows; gradient goes to the lowest argmax row."""
-    x = as_tensor(x)
-    if x.data.ndim != 2 or x.data.shape[0] < 1:
-        raise ValueError(f"reduce_max_rows: need a non-empty 2-d input, got {x.data.shape}")
-    arg = x.data.argmax(axis=0)
-    out_data = x.data[arg, np.arange(x.data.shape[1])]
-    shape = x.data.shape
+def reduce_max_rows(*xs: Tensor) -> Tensor:
+    """Column-wise max over the rows of each input, joined into one vector;
+    gradient goes to the lowest argmax row."""
+    xs = [as_tensor(x) for x in xs]
+    for x in xs:
+        if x.data.ndim != 2 or x.data.shape[0] < 1:
+            raise ValueError(f"reduce_max_rows: need non-empty 2-d inputs, got {x.data.shape}")
+    picks = [(x.data.argmax(axis=0), np.arange(x.data.shape[1])) for x in xs]
+    out_data = np.concatenate([x.data[pick] for x, pick in zip(xs, picks)])
+    ends = np.cumsum([x.data.shape[1] for x in xs])
 
     def bwd(g):
-        gx = np.zeros(shape)
-        gx[arg, np.arange(shape[1])] = g
-        x._accumulate(gx, owned=True)
+        for x, pick, g_x in zip(xs, picks, np.split(g, ends[:-1])):
+            gx = np.zeros(x.data.shape)
+            gx[pick] = g_x
+            x._accumulate(gx, owned=True)
 
-    return Tensor._node(out_data, (x,), bwd)
+    return Tensor._node(out_data, tuple(xs), bwd)
 
 
 def scatter_rows(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
@@ -317,15 +343,11 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         ):
             raise ValueError(f"concat: extents disagree off axis {axis}: {ref} vs {s}")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
+    ends = np.cumsum([t.data.shape[axis] for t in tensors])
 
     def bwd(g):
-        start = 0
-        for t, size in zip(tensors, sizes):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(start, start + size)
-            t._accumulate(g[tuple(sl)])
-            start += size
+        for t, g_t in zip(tensors, np.split(g, ends[:-1], axis=axis)):
+            t._accumulate(g_t)
 
     return Tensor._node(out_data, tuple(tensors), bwd)
 
@@ -365,39 +387,10 @@ def group_max_rows(x: Tensor, group_size: int) -> Tensor:
     return Tensor._node(out_data, (x,), bwd)
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-column normalization with the rows' own (biased) statistics.
-
-    The map is a pure function of the rows at hand.  The epsilon guard keeps
-    zero-variance columns (including batches of one row) finite.  One tape
-    node; forward and backward take the floating-point steps of the
-    composite form (mean, centre, variance, ``(var + eps) ** -0.5``, scale
-    and shift, each a node), so both give the composite's bits.
-    """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    if x.data.ndim != 2 or x.data.shape[0] < 1:
-        raise ValueError(f"batch_norm: need a non-empty 2-d input, got {x.data.shape}")
-    inv_n = 1.0 / x.data.shape[0]
-    centered = x.data - x.data.sum(axis=0) * inv_n
-    var_eps = (centered * centered).sum(axis=0) * inv_n + eps
-    scale = var_eps ** -0.5
-    normed = centered * scale
-    out_data = gamma.data * normed + beta.data
-
-    def bwd(g):
-        gamma._accumulate(_unbroadcast(g * normed, gamma.data.shape), owned=True)
-        beta._accumulate(_unbroadcast(g, beta.data.shape), owned=True)
-        g_normed = g * gamma.data
-        # through scale = var_eps ** -0.5 to the variance, then to each square
-        g_square = (g_normed * centered).sum(axis=0) * -0.5 * var_eps ** -1.5 * inv_n
-        gx = g_normed * scale
-        via_square = g_square * centered
-        gx += via_square  # once per factor of centered * centered
-        gx += via_square
-        gx -= gx.sum(axis=0) * inv_n  # through the mean
-        x._accumulate(gx, owned=True)
-
-    return Tensor._node(out_data, (x, gamma, beta), bwd)
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Per-column normalization with the rows' own statistics, scaled by
+    ``gamma`` and shifted by ``beta``: a ``linear`` layer without a weight."""
+    return linear(x, None, beta, gamma)
 
 
 def backward(loss: Tensor) -> None:

@@ -192,14 +192,14 @@ class TestLayoutErrors:
 
     def test_missing_adam_moment(self, tmp_path):
         path = self.save(tmp_path, make_checkpoint(13))
-        rewrite_config_block(path, b"has_adam=False", b"has_adam=True")
+        rewrite_config_block(path, b"has_adam=False", b"has_adam=True\nadam.t=5")
         first = next(iter(init_params(TINY, 0)))
         with pytest.raises(CheckpointError, match=f"missing tensor 'adam.m.{first}'"):
             load_checkpoint(path)
 
     def test_moments_without_has_adam_are_unexpected(self, tmp_path):
         path = self.save(tmp_path, make_checkpoint(14, with_adam=True))
-        rewrite_config_block(path, b"has_adam=True", b"has_adam=False")
+        rewrite_config_block(path, b"has_adam=True\nadam.t=5", b"has_adam=False")
         first = next(iter(init_params(TINY, 0)))
         with pytest.raises(CheckpointError, match=f"unexpected tensor 'adam.m.{first}'"):
             load_checkpoint(path)
@@ -220,6 +220,7 @@ class TestConfigErrors:
         (b"upsample_factors=2,2,1", b"upsample_factors=2,x,1", "upsample_factors",
          "2,x,1", "tuple"),
         (b"use_aggregation=True", b"use_aggregation=yes", "use_aggregation", "yes", "bool"),
+        (b"has_adam=False", b"has_adam=true", "has_adam", "true", "bool"),
     ])
     def test_unreadable_value_names_file_and_key(self, tmp_path, old, new, key, text, kind):
         path = self.saved(tmp_path)
@@ -233,6 +234,9 @@ class TestConfigErrors:
         (b"has_adam=False\n", b"", "config key 'has_adam' is missing"),
         (b"knn_k=4\n", b"knn=4\n", "unknown config key 'knn'"),
         (b"has_adam=False\n", b"has_adam=False\ncolour=red\n", "unknown config key 'colour'"),
+        # the Adam step is stored exactly when has_adam is True
+        (b"has_adam=False\n", b"has_adam=True\n", "config key 'adam.t' is missing"),
+        (b"has_adam=False\n", b"has_adam=False\nadam.t=5\n", "unknown config key 'adam.t'"),
     ])
     def test_missing_or_unknown_key_names_file_and_key(self, tmp_path, old, new, message):
         path = self.saved(tmp_path)
@@ -246,6 +250,14 @@ class TestConfigErrors:
         rewrite_config_block(path, b"adam.t=5", b"adam.t=5.5")
         with pytest.raises(CheckpointError, match="config key 'adam.t': cannot read '5.5' as int"):
             load_checkpoint(path)
+
+    def test_adam_state_without_its_step_is_rejected(self, tmp_path):
+        # read as step 0, a resumed optimizer would restart its bias correction
+        path = self.saved(tmp_path, with_adam=True)
+        rewrite_config_block(path, b"adam.t=5\n", b"")
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: config key 'adam.t' is missing"
 
     def test_invalid_config_is_prefixed_with_the_path(self, tmp_path):
         path = self.saved(tmp_path)

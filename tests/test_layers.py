@@ -59,6 +59,19 @@ def adaptconv_reference(coords, features, neighbors, params, prefix, m_out):
     return out
 
 
+def interior_nodes(out):
+    """Tape nodes (nodes with a backward) reachable from ``out``."""
+    seen, stack, count = {id(out)}, [out], 0
+    while stack:
+        node = stack.pop()
+        count += node._backward is not None
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return count
+
+
 def edgeconv_reference(features, neighbors, theta, m_out):
     n = features.shape[0]
     out = np.empty((n, m_out))
@@ -99,6 +112,16 @@ class TestSharedMlp:
         np.testing.assert_allclose(
             L.shared_mlp(Tensor(x), spec, p, "m").data, expected, rtol=1e-12
         )
+
+    @pytest.mark.parametrize("use_bn, final_activation", [
+        (True, True), (True, False), (False, True), (False, False),
+    ])
+    def test_one_tape_node_per_layer(self, use_bn, final_activation):
+        spec = L.LayerSpec((4, 3, 2), use_bn=use_bn, final_activation=final_activation)
+        pb = ParamBuilder(Rng(4))
+        L.shared_mlp_params(pb, "m", 3, spec)
+        out = L.shared_mlp(Tensor(feats(6, 3, 4)), spec, pb.entries, "m")
+        assert interior_nodes(out) == 3
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):
@@ -237,16 +260,17 @@ def composite_conv(kind, xc, fc, xr, fr, neighbors, params, prefix, m_out):
     if kind == "adapt":
         x_i, x_j = T.gather_rows(xc, centre), T.gather_rows(xr, ref)
         dx = T.concat([x_i, x_j - x_i], axis=1)
-        hidden = T.leaky_relu(
-            T.linear(dx, params[f"{prefix}.g.l0.w"], params[f"{prefix}.g.l0.b"]), L.EDGE_SLOPE
+        hidden = T.activation(
+            T.linear(dx, params[f"{prefix}.g.l0.w"], params[f"{prefix}.g.l0.b"]),
+            "leaky_relu", L.EDGE_SLOPE,
         )
         kernels = T.linear(hidden, params[f"{prefix}.g.l1.w"], params[f"{prefix}.g.l1.b"])
         n_edges, two_d = df.shape
         blocks = kernels.reshape(n_edges, m_out, two_d)
         h = (blocks * df.reshape(n_edges, 1, two_d)).sum(axis=2)
     else:
-        h = T.matmul(df, params[f"{prefix}.theta"])
-    return T.group_max_rows(T.leaky_relu(h, L.EDGE_SLOPE), k)
+        h = T.linear(df, params[f"{prefix}.theta"], np.zeros(m_out))
+    return T.group_max_rows(T.activation(h, "leaky_relu", L.EDGE_SLOPE), k)
 
 
 WEIGHTS = {"adapt": ("c.g.l0.w", "c.g.l0.b", "c.g.l1.w", "c.g.l1.b"), "edge": ("c.theta",)}
@@ -586,6 +610,17 @@ class TestVmlp:
         np.testing.assert_allclose(
             out.data, vmlp_reference(pts, graph, pb.entries, spec), rtol=1e-12
         )
+
+    def test_one_pooling_node_per_stage(self):
+        params = self.build(42)
+        pts = cloud(8, 42)
+        _, pooled = L.vmlp(
+            Tensor(pts), self_graph(pts, 4), params, "v", self.SPEC, return_pooled=True
+        )
+        (pool,) = pooled._parents  # under the [subs, P] reshape
+        assert len(pool._parents) == 3 * 4  # the last four layers of three sub-nets
+        # three five-layer sub-nets, the pooling node and its reshape
+        assert interior_nodes(pooled) == 3 * 5 + 2
 
     def test_variant_output_shapes(self):
         for kind in ("pointnet_mlp", "one_subnet"):

@@ -119,7 +119,8 @@ class TestBatchNorm:
         assert all(p._backward is None for p in out._parents)
 
     def test_gradient_matches_central_differences(self):
-        # includes the one-row input and a zero-variance column (eps guard)
+        # includes the one-row input and a zero-variance column (eps guard);
+        # each input also feeds a normed relu layer, the norm after a product
         for i, (x, gamma, beta) in enumerate(self.inputs()):
             weights = Tensor(np.random.default_rng(30 + i).standard_normal(x.shape))
             params = {"x": T.parameter(x), "g": T.parameter(gamma), "b": T.parameter(beta)}
@@ -128,6 +129,90 @@ class TestBatchNorm:
                 return (batch_norm(p["x"], p["g"], p["b"]) * weights).sum()
 
             assert finite_diff_check(loss, params) < 1e-5
+
+            d = x.shape[1]
+            params["w"] = T.parameter(np.random.default_rng(40 + i).standard_normal((d, d)))
+
+            def layer_loss(p):
+                return (T.linear(p["x"], p["w"], p["b"], p["g"], relu=True) * weights).sum()
+
+            assert finite_diff_check(layer_loss, params) < 1e-5
+
+
+def layer_cases():
+    """(x, w, gamma, b): many rows, one row, and a product with a constant
+    (zero) column."""
+    rng = np.random.default_rng(26)
+    constant_column = rng.standard_normal((3, 2))
+    constant_column[:, 1] = 0.0
+    for x, w in ((rng.standard_normal((9, 4)), rng.standard_normal((4, 3))),
+                 (rng.standard_normal((1, 3)), rng.standard_normal((3, 2))),
+                 (rng.standard_normal((5, 3)), constant_column)):
+        d = w.shape[1]
+        yield x, w, rng.standard_normal(d), rng.standard_normal(d)
+
+
+def product(x, w):
+    """``x @ w`` on the tape: a layer with a zero bias."""
+    return T.linear(x, w, np.zeros(w.shape[1]))
+
+
+class TestFusedLayer:
+    """``linear`` with its norm and relu is one node with the bits of the
+    composite of one node per step."""
+
+    FORMS = {
+        "normed_relu": (
+            lambda x, w, g, b: T.linear(x, w, b, g, relu=True),
+            lambda x, w, g, b: T.activation(T.batch_norm(product(x, w), g, b), "relu"),
+        ),
+        "bare_relu": (
+            lambda x, w, g, b: T.linear(x, w, b, relu=True),
+            lambda x, w, g, b: T.activation(product(x, w) + b, "relu"),
+        ),
+        "bare": (
+            lambda x, w, g, b: T.linear(x, w, b),
+            lambda x, w, g, b: product(x, w) + b,
+        ),
+    }
+
+    @staticmethod
+    def run(layer, case, seed):
+        """Output and the gradients of x, w, gamma and b under a random
+        linear probe."""
+        leaves = [T.parameter(a) for a in case]
+        out = layer(*leaves)
+        probe = np.random.default_rng(seed).standard_normal(out.shape)
+        backward((out * Tensor(probe)).sum())
+        return out.data, [t.grad for t in leaves]
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_value_and_gradients_equal_composite(self, form):
+        fused, composite = self.FORMS[form]
+        for i, case in enumerate(layer_cases()):
+            out, grads = self.run(fused, case, i)
+            ref, ref_grads = self.run(composite, case, i)
+            np.testing.assert_array_equal(out, ref)
+            if form != "normed_relu":
+                assert grads[2] is None and ref_grads[2] is None  # gamma unused
+                grads, ref_grads = grads[:2] + grads[3:], ref_grads[:2] + ref_grads[3:]
+            for got, want in zip(grads, ref_grads):
+                np.testing.assert_array_equal(got, want)
+
+    def test_constant_column_gives_relu_of_shift(self):
+        x, w, gamma, b = list(layer_cases())[2]
+        out = T.linear(Tensor(x), Tensor(w), Tensor(b), Tensor(gamma), relu=True)
+        np.testing.assert_array_equal(out.data[:, 1], np.full(5, max(b[1], 0.0)))
+
+    def test_one_tape_node(self):
+        x, w, gamma, b = (T.parameter(a) for a in next(layer_cases()))
+        out = T.linear(x, w, b, gamma, relu=True)
+        assert set(map(id, out._parents)) == {id(x), id(w), id(b), id(gamma)}
+
+    def test_gamma_shape_checked(self):
+        with pytest.raises(ValueError, match="gamma per column"):
+            T.linear(Tensor(rand((4, 3))), Tensor(rand((3, 2))), Tensor(np.zeros(2)),
+                     Tensor(np.ones(3)))
 
 
 class TestReduceMaxRows:
@@ -148,6 +233,21 @@ class TestReduceMaxRows:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             T.reduce_max_rows(Tensor(np.empty((0, 3))))
+
+    def test_several_inputs_join_their_maxima(self):
+        # one node with the value and gradients of a max per input, joined
+        xs = [T.parameter(rand(shape, 10 + i)) for i, shape in enumerate([(5, 2), (3, 4), (1, 1)])]
+        probe = Tensor(rand((7,), 13))
+        out = T.reduce_max_rows(*xs)
+        backward((out * probe).sum())
+        grads = [x.grad for x in xs]
+        for x in xs:
+            x.grad = None
+        ref = T.concat([T.reduce_max_rows(x) for x in xs])
+        backward((ref * probe).sum())
+        np.testing.assert_array_equal(out.data, ref.data)
+        for x, grad in zip(xs, grads):
+            np.testing.assert_array_equal(grad, x.grad)
 
 
 class TestGatherRows:
@@ -237,8 +337,8 @@ class TestBackward:
         w2 = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
 
         def loss_value():
-            h = T.activation(T.matmul(Tensor(x), w1), "tanh")
-            return T.matmul(h, w2).sum()
+            h = T.activation(T.linear(Tensor(x), w1, np.zeros(4)), "tanh")
+            return T.linear(h, w2, np.zeros(2)).sum()
 
         backward(loss_value())
         eps = 1e-6
@@ -263,7 +363,7 @@ class TestBackward:
     def test_interior_nodes_released_leaves_keep_grads(self):
         w = T.parameter(rand((3, 2), 24))
         x = Tensor(rand((4, 3), 25))
-        hidden = T.relu(T.matmul(x, w))
+        hidden = T.activation(T.linear(x, w, np.zeros(2)), "relu")
         backward(hidden.sum())
         assert hidden.grad is None
         assert hidden._parents == () and hidden._backward is None
@@ -299,8 +399,8 @@ class TestPurityAndMisc:
         x = Tensor(rng.standard_normal((6, 4)))
         w = Tensor(rng.standard_normal((4, 3)))
         b = Tensor(rng.standard_normal(3))
-        first = T.relu(T.linear(x, w, b)).data
-        second = T.relu(T.linear(x, w, b)).data
+        first = T.activation(T.linear(x, w, b), "relu").data
+        second = T.activation(T.linear(x, w, b), "relu").data
         np.testing.assert_array_equal(first, second)
 
     def test_group_max_rows_tie_to_first_slot(self):
