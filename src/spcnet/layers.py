@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .geometry import NeighborGraph, fps, knn, nearest_index, row_blocks
+from .geometry import NeighborGraph, fps, knn, knn_from_graph, nearest_index, row_blocks
 from .optim import ParamBuilder, ParamSet
 from .tensor import Tensor, as_tensor, constant
 
@@ -283,11 +283,17 @@ def graph_pool(
     prefix: str,
     out_width: int,
     kind: str,
-) -> tuple[Tensor, Tensor]:
+    graph: NeighborGraph | None = None,
+) -> tuple[np.ndarray, Tensor, Tensor]:
     """Reduce the cloud to ``pool_n`` points chosen by farthest point sampling,
     re-aggregating each kept point's feature by one graph convolution over its
     k nearest neighbors in the original cloud (the point itself included as a
-    zero-distance neighbor)."""
+    zero-distance neighbor).
+
+    Given ``graph``, the cloud's graph on itself, the neighbours are read off
+    it (``knn_from_graph``); a pooled cloud has none, and ``knn`` searches
+    it.  Returns the kept indices with their coordinates and new features.
+    """
     coords, features = as_tensor(coords), as_tensor(features)
     n = coords.shape[0]
     if pool_n > n:
@@ -296,21 +302,25 @@ def graph_pool(
     kept_coords = T.gather_rows(coords, idx)
     kept_feats = T.gather_rows(features, idx)
     k_eff = max(1, min(k, n))
-    graph = knn(kept_coords.data, coords.data, k_eff, exclude_self=False)
+    if graph is None:
+        table = knn(kept_coords.data, coords.data, k_eff, exclude_self=False)
+    else:
+        table = knn_from_graph(coords.data, graph, idx, np.arange(n), k_eff)
     new_feats = _conv_over_edges(
-        kind, kept_coords, kept_feats, coords, features, graph.neighbors, params, prefix, out_width
+        kind, kept_coords, kept_feats, coords, features, table.neighbors, params, prefix, out_width
     )
-    return kept_coords, new_feats
+    return idx, kept_coords, new_feats
 
 
 def interpolate_up(
     query_coords: Tensor,
     support_coords: Tensor,
     support_feats: Tensor,
-    k: int = 3,
+    neighbors: np.ndarray,
 ) -> Tensor:
-    """Inverse-distance weighted feature pull from the k nearest support
-    points, as one tape node.
+    """Inverse-distance weighted feature pull from each query point's support
+    points ``neighbors`` ([m, k] support rows: its k nearest), as one tape
+    node.
 
     The neighbor choice is fixed by the coordinate values, but the weights
     are differentiated, so gradients flow into the features and both
@@ -322,12 +332,13 @@ def interpolate_up(
     support_coords = as_tensor(support_coords)
     support_feats = as_tensor(support_feats)
     s = support_coords.shape[0]
-    if s < k:
-        raise ValueError(f"interpolate_up: need at least k={k} support points, have {s}")
-    graph = knn(query_coords.data, support_coords.data, k, exclude_self=False)
-    m = query_coords.shape[0]
+    m, k = neighbors.shape
+    if m != query_coords.shape[0]:
+        raise ValueError(
+            f"interpolate_up: {m} neighbour rows for {query_coords.shape[0]} query points"
+        )
     idx_q = np.repeat(np.arange(m, dtype=np.intp), k)
-    idx_s = graph.neighbors.reshape(-1)
+    idx_s = neighbors.reshape(-1)
     diff = query_coords.data[idx_q] - support_coords.data[idx_s]
     # the inner guard keeps sqrt differentiable at exact coincidence
     dist = np.sqrt((diff * diff).sum(axis=1).reshape(m * k, 1) + 1e-16)

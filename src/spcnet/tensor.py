@@ -97,9 +97,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -173,10 +170,6 @@ def as_tensor(value) -> Tensor:
 
 def constant(value) -> Tensor:
     return Tensor(np.asarray(value, dtype=np.float64))
-
-
-def parameter(value) -> Tensor:
-    return Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
 
 
 # ---------------------------------------------------------------------------
@@ -360,29 +353,6 @@ def tile_rows(x: Tensor, k: int) -> Tensor:
 
     def bwd(g):
         x._accumulate(g.reshape(k, m, d).sum(axis=0), owned=True)
-
-    return Tensor._node(out_data, (x,), bwd)
-
-
-def group_max_rows(x: Tensor, group_size: int) -> Tensor:
-    """Max over consecutive row groups: [g*k, d] -> [g, d].
-
-    Ties route gradient to the earliest row of the group, matching the
-    lowest-index convention of ``reduce_max_rows``.
-    """
-    x = as_tensor(x)
-    total, d = x.data.shape
-    if total % group_size != 0:
-        raise ValueError(f"group_max_rows: {total} rows not divisible by {group_size}")
-    groups = total // group_size
-    blocks = x.data.reshape(groups, group_size, d)
-    arg = blocks.argmax(axis=1)
-    out_data = np.take_along_axis(blocks, arg[:, None, :], axis=1)[:, 0, :]
-
-    def bwd(g):
-        gx = np.zeros((groups, group_size, d))
-        np.put_along_axis(gx, arg[:, None, :], g[:, None, :], axis=1)
-        x._accumulate(gx.reshape(total, d), owned=True)
 
     return Tensor._node(out_data, (x,), bwd)
 

@@ -25,6 +25,11 @@ def self_graph(pts, k):
     return knn(pts, pts, L.self_knn_k(k, pts.shape[0]))
 
 
+def table(query, support, k=3):
+    """Each query point's k nearest support rows: an ``interpolate_up`` table."""
+    return knn(query, support, k, exclude_self=False).neighbors
+
+
 def leaky(x, slope=0.2):
     return np.where(x > 0, x, slope * x)
 
@@ -249,6 +254,29 @@ class TestEdgeConv:
         assert finite_diff_check(f, pb.entries) < 1e-4
 
 
+def group_max_rows(x, group_size):
+    """Max over consecutive row groups, [g*k, d] -> [g, d], as one node;
+    ties route gradient to the earliest row of the group."""
+    total, d = x.data.shape
+    blocks = x.data.reshape(total // group_size, group_size, d)
+    arg = blocks.argmax(axis=1)
+
+    def bwd(g):
+        gx = np.zeros(blocks.shape)
+        np.put_along_axis(gx, arg[:, None, :], g[:, None, :], axis=1)
+        x._accumulate(gx.reshape(total, d), owned=True)
+
+    return Tensor._node(np.take_along_axis(blocks, arg[:, None, :], axis=1)[:, 0, :], (x,), bwd)
+
+
+def test_group_max_rows_tie_to_first_slot():
+    x = Tensor(np.array([[1.0], [1.0], [0.5], [2.0]]), requires_grad=True)
+    out = group_max_rows(x, 2)
+    np.testing.assert_array_equal(out.data, [[1.0], [2.0]])
+    backward(out.sum())
+    np.testing.assert_array_equal(x.grad, [[1.0], [0.0], [0.0], [1.0]])
+
+
 def composite_conv(kind, xc, fc, xr, fr, neighbors, params, prefix, m_out):
     """The per-edge composite the fused convolution replaces, on the tape:
     gather each edge's ``[a_i, a_j - a_i]`` pairs, form the response, take the
@@ -270,7 +298,7 @@ def composite_conv(kind, xc, fc, xr, fr, neighbors, params, prefix, m_out):
         h = (blocks * df.reshape(n_edges, 1, two_d)).sum(axis=2)
     else:
         h = T.linear(df, params[f"{prefix}.theta"], np.zeros(m_out))
-    return T.group_max_rows(T.activation(h, "leaky_relu", L.EDGE_SLOPE), k)
+    return group_max_rows(T.activation(h, "leaky_relu", L.EDGE_SLOPE), k)
 
 
 WEIGHTS = {"adapt": ("c.g.l0.w", "c.g.l0.b", "c.g.l1.w", "c.g.l1.b"), "edge": ("c.theta",)}
@@ -396,20 +424,21 @@ class TestGraphPool:
 
     def test_full_pool_reorders_by_selection(self):
         pts, fs, params = self.make(10, 2, 3, 13)
-        coords_out, feats_out = L.graph_pool(
+        idx, coords_out, feats_out = L.graph_pool(
             Tensor(pts), Tensor(fs), 10, 4, params, "p", 3, "adapt"
         )
+        np.testing.assert_array_equal(idx, fps(pts, 10))
         np.testing.assert_array_equal(coords_out.data, pts[fps(pts, 10)])
         assert feats_out.shape == (10, 3)
 
     def test_pool_to_one_is_start_point(self):
         pts, fs, params = self.make(9, 2, 3, 14)
-        coords_out, _ = L.graph_pool(Tensor(pts), Tensor(fs), 1, 4, params, "p", 3, "adapt")
+        _, coords_out, _ = L.graph_pool(Tensor(pts), Tensor(fs), 1, 4, params, "p", 3, "adapt")
         np.testing.assert_array_equal(coords_out.data, pts[fps(pts, 1)])
 
     def test_recomposition_from_primitives(self):
         pts, fs, params = self.make(32, 2, 3, 15)
-        coords_out, feats_out = L.graph_pool(
+        _, coords_out, feats_out = L.graph_pool(
             Tensor(pts), Tensor(fs), 8, 5, params, "p", 3, "adapt"
         )
         idx = fps(pts, 8)
@@ -427,6 +456,21 @@ class TestGraphPool:
             ref[a] = np.max(responses, axis=0)
         np.testing.assert_allclose(feats_out.data, ref, rtol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["adapt", "edge"])
+    @pytest.mark.parametrize("n, k", [(32, 5), (6, 5), (5, 5), (40, 16)])
+    def test_self_graph_gives_the_searched_pool(self, kind, n, k):
+        # n <= k + 1 included: the graph row holds every other point
+        pb = ParamBuilder(Rng(n))
+        L.CONVS[kind](pb, "p", 2, 3)
+        pts, fs = cloud(n, 40 + n), feats(n, 2, 41 + n)
+        pts[3] = pts[1]  # a duplicated point
+        searched = L.graph_pool(Tensor(pts), Tensor(fs), n // 2, k, pb.entries, "p", 3, kind)
+        derived = L.graph_pool(
+            Tensor(pts), Tensor(fs), n // 2, k, pb.entries, "p", 3, kind, self_graph(pts, k)
+        )
+        np.testing.assert_array_equal(derived[0], searched[0])
+        np.testing.assert_array_equal(derived[2].data, searched[2].data)
+
     def test_pool_too_large(self):
         pts, fs, params = self.make(5, 2, 3, 16)
         with pytest.raises(ValueError):
@@ -438,19 +482,20 @@ class TestInterpolateUp:
         sup = cloud(5, 17)
         sf = feats(5, 4, 17)
         query = np.vstack([sup[2], [[0.9, 0.9, 0.9]]])
-        out = L.interpolate_up(Tensor(query), Tensor(sup), Tensor(sf), k=3)
+        out = L.interpolate_up(Tensor(query), Tensor(sup), Tensor(sf), table(query, sup))
         np.testing.assert_allclose(out.data[0], sf[2], atol=1e-6)
 
     def test_constant_features_reproduced_exactly(self):
         sup = cloud(6, 18)
         sf = np.tile([[2.0, -1.0]], (6, 1))
-        out = L.interpolate_up(Tensor(cloud(4, 19)), Tensor(sup), Tensor(sf), k=3)
+        q = cloud(4, 19)
+        out = L.interpolate_up(Tensor(q), Tensor(sup), Tensor(sf), table(q, sup))
         np.testing.assert_allclose(out.data, np.tile([2.0, -1.0], (4, 1)), rtol=1e-12)
 
     def test_matches_naive_loop(self):
         sup, q = cloud(7, 20), cloud(5, 21)
         sf = feats(7, 3, 20)
-        out = L.interpolate_up(Tensor(q), Tensor(sup), Tensor(sf), k=3)
+        out = L.interpolate_up(Tensor(q), Tensor(sup), Tensor(sf), table(q, sup))
         for i in range(5):
             d = np.sqrt(((sup - q[i]) ** 2).sum(axis=1) + 1e-16)
             order = np.argsort(d, kind="stable")[:3]
@@ -459,8 +504,20 @@ class TestInterpolateUp:
             np.testing.assert_allclose(out.data[i], w @ sf[order], rtol=1e-10)
 
     def test_too_few_support_points(self):
+        # three neighbours among two support points: the table cannot be built
         with pytest.raises(ValueError):
-            L.interpolate_up(Tensor(cloud(3, 22)), Tensor(cloud(2, 23)), Tensor(feats(2, 2, 23)), k=3)
+            L.interpolate_up(
+                Tensor(cloud(3, 22)), Tensor(cloud(2, 23)), Tensor(feats(2, 2, 23)),
+                table(cloud(3, 22), cloud(2, 23)),
+            )
+
+    def test_table_must_cover_every_query_point(self):
+        sup = cloud(5, 22)
+        with pytest.raises(ValueError, match="neighbour rows"):
+            L.interpolate_up(
+                Tensor(cloud(3, 22)), Tensor(sup), Tensor(feats(5, 2, 23)),
+                table(cloud(2, 22), sup),
+            )
 
     def test_gradients_through_coords_and_features(self):
         params = {
@@ -470,7 +527,8 @@ class TestInterpolateUp:
         }
 
         def f(p):
-            return probe(L.interpolate_up(p["q"], p["s"], p["f"], k=3), 82)
+            nearest = table(p["q"].data, p["s"].data)
+            return probe(L.interpolate_up(p["q"], p["s"], p["f"], nearest), 82)
 
         assert finite_diff_check(f, params) < 1e-4
 
@@ -481,13 +539,16 @@ class TestInterpolateUp:
         }
 
         def f(p):
-            return probe(L.interpolate_up(p["x"], p["x"], p["f"], k=3), 83)
+            nearest = table(p["x"].data, p["x"].data)
+            return probe(L.interpolate_up(p["x"], p["x"], p["f"], nearest), 83)
 
         assert finite_diff_check(f, params) < 1e-4
 
     def test_one_tape_node(self):
-        q, s, f = (T.parameter(a) for a in (cloud(4, 27), cloud(6, 28), feats(6, 2, 28)))
-        out = L.interpolate_up(q, s, f, k=3)
+        q, s, f = (
+            Tensor(a, requires_grad=True) for a in (cloud(4, 27), cloud(6, 28), feats(6, 2, 28))
+        )
+        out = L.interpolate_up(q, s, f, table(q.data, s.data))
         assert out._parents == (q, s, f)
 
 

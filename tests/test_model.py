@@ -1,8 +1,11 @@
 """Pipeline assembly: counts, contracts, identities, determinism."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spcnet import geometry as G
 from spcnet import layers as L
 from spcnet import model as M
 from spcnet import tensor as T
@@ -202,9 +205,56 @@ class TestScmForward:
         monkeypatch.setattr(M, "knn", spy)
         monkeypatch.setattr(L, "knn", spy)
         spcnet_forward(Tensor(cloud(TINY.partial_count, 21)), init_params(TINY, 12), TINY)
-        # per stage: the self graph, two pooling graphs, two interpolations
-        assert len(calls) == 5 * TINY.scm_count == 15
+        # per stage: the self graph and pool2's search; pool1 and both
+        # interpolations read the self graph
+        assert len(calls) == 2 * TINY.scm_count == 6
         assert len(set(calls)) == len(calls)
+
+    def test_no_search_over_a_joined_cloud_but_its_self_graph(self, monkeypatch):
+        calls = []  # (query, reference, whether the call is a self graph)
+
+        def spy(query, reference, k, exclude_self=None):
+            calls.append((query.copy(), reference.copy(), query is reference))
+            return knn(query, reference, k, exclude_self)
+
+        for module in (G, L, M):
+            monkeypatch.setattr(module, "knn", spy)
+        spcnet_forward(Tensor(cloud(TINY.partial_count, 22)), init_params(TINY, 13), TINY)
+        joined = [reference for _, reference, own in calls if own]
+        assert len(joined) == TINY.scm_count
+        for query, reference, own in calls:
+            if not own:
+                assert not any(np.array_equal(reference, j) for j in joined)
+
+    def test_interpolation_tables_hold_the_support_clouds_nearest(self, monkeypatch):
+        tables = []
+
+        def spy(query_coords, support_coords, support_feats, neighbors):
+            tables.append((query_coords.data, support_coords.data, neighbors))
+            return interpolate_up(query_coords, support_coords, support_feats, neighbors)
+
+        interpolate_up = L.interpolate_up
+        monkeypatch.setattr(L, "interpolate_up", spy)
+        spcnet_forward(Tensor(cloud(TINY.partial_count, 24)), init_params(TINY, 15), TINY)
+        assert len(tables) == 2 * TINY.scm_count
+        for query, support, neighbors in tables:
+            searched = knn(query, support, min(3, support.shape[0]), exclude_self=False)
+            np.testing.assert_array_equal(neighbors, searched.neighbors)
+
+    @pytest.mark.parametrize("kind", ["adapt", "edge"])
+    def test_tables_read_off_the_graph_change_no_bit(self, monkeypatch, kind):
+        cfg = replace(TINY, conv_kind=kind)
+        params = init_params(cfg, 14)
+        partial = Tensor(np.round(cloud(cfg.partial_count, 23) * 2) / 2)  # ties, duplicates
+
+        def searched(cloud, graph, query_idx, ref_idx, k):
+            return knn(cloud[query_idx], cloud[ref_idx], k, exclude_self=False)
+
+        derived = spcnet_forward(partial, params, cfg).stages
+        for module in (L, M):
+            monkeypatch.setattr(module, "knn_from_graph", searched)
+        for a, b in zip(derived, spcnet_forward(partial, params, cfg).stages):
+            np.testing.assert_array_equal(a.data, b.data)
 
 
 class TestSpcnetForward:

@@ -14,6 +14,11 @@ def rand(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
+def parameter(value):
+    """A float64 leaf that records gradients."""
+    return Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
+
+
 class TestLinear:
     def test_identity_weights(self):
         x = rand((4, 3), 1)
@@ -115,7 +120,7 @@ class TestBatchNorm:
 
     def test_one_tape_node(self):
         x = Tensor(rand((4, 2), 23), requires_grad=True)
-        out = batch_norm(x, T.parameter(np.ones(2)), T.parameter(np.zeros(2)))
+        out = batch_norm(x, parameter(np.ones(2)), parameter(np.zeros(2)))
         assert all(p._backward is None for p in out._parents)
 
     def test_gradient_matches_central_differences(self):
@@ -123,7 +128,7 @@ class TestBatchNorm:
         # each input also feeds a normed relu layer, the norm after a product
         for i, (x, gamma, beta) in enumerate(self.inputs()):
             weights = Tensor(np.random.default_rng(30 + i).standard_normal(x.shape))
-            params = {"x": T.parameter(x), "g": T.parameter(gamma), "b": T.parameter(beta)}
+            params = {"x": parameter(x), "g": parameter(gamma), "b": parameter(beta)}
 
             def loss(p):
                 return (batch_norm(p["x"], p["g"], p["b"]) * weights).sum()
@@ -131,7 +136,7 @@ class TestBatchNorm:
             assert finite_diff_check(loss, params) < 1e-5
 
             d = x.shape[1]
-            params["w"] = T.parameter(np.random.default_rng(40 + i).standard_normal((d, d)))
+            params["w"] = parameter(np.random.default_rng(40 + i).standard_normal((d, d)))
 
             def layer_loss(p):
                 return (T.linear(p["x"], p["w"], p["b"], p["g"], relu=True) * weights).sum()
@@ -180,7 +185,7 @@ class TestFusedLayer:
     def run(layer, case, seed):
         """Output and the gradients of x, w, gamma and b under a random
         linear probe."""
-        leaves = [T.parameter(a) for a in case]
+        leaves = [parameter(a) for a in case]
         out = layer(*leaves)
         probe = np.random.default_rng(seed).standard_normal(out.shape)
         backward((out * Tensor(probe)).sum())
@@ -205,7 +210,7 @@ class TestFusedLayer:
         np.testing.assert_array_equal(out.data[:, 1], np.full(5, max(b[1], 0.0)))
 
     def test_one_tape_node(self):
-        x, w, gamma, b = (T.parameter(a) for a in next(layer_cases()))
+        x, w, gamma, b = (parameter(a) for a in next(layer_cases()))
         out = T.linear(x, w, b, gamma, relu=True)
         assert set(map(id, out._parents)) == {id(x), id(w), id(b), id(gamma)}
 
@@ -236,7 +241,7 @@ class TestReduceMaxRows:
 
     def test_several_inputs_join_their_maxima(self):
         # one node with the value and gradients of a max per input, joined
-        xs = [T.parameter(rand(shape, 10 + i)) for i, shape in enumerate([(5, 2), (3, 4), (1, 1)])]
+        xs = [parameter(rand(shape, 10 + i)) for i, shape in enumerate([(5, 2), (3, 4), (1, 1)])]
         probe = Tensor(rand((7,), 13))
         out = T.reduce_max_rows(*xs)
         backward((out * probe).sum())
@@ -361,7 +366,7 @@ class TestBackward:
         assert x.grad[0, 0] == 7.0
 
     def test_interior_nodes_released_leaves_keep_grads(self):
-        w = T.parameter(rand((3, 2), 24))
+        w = parameter(rand((3, 2), 24))
         x = Tensor(rand((4, 3), 25))
         hidden = T.activation(T.linear(x, w, np.zeros(2)), "relu")
         backward(hidden.sum())
@@ -373,7 +378,7 @@ class TestBackward:
     def test_upstream_handed_to_two_parents_is_not_aliased(self):
         # a + b passes one upstream array to both parents; x + x twice to one.
         # More gradient then accumulates in place, as in per-shape backward.
-        a, b = T.parameter(np.zeros((2, 2))), T.parameter(np.zeros((2, 2)))
+        a, b = parameter(np.zeros((2, 2))), parameter(np.zeros((2, 2)))
         backward(((a + b) * 2.0).sum())
         backward((a * 3.0).sum())
         np.testing.assert_array_equal(a.grad, np.full((2, 2), 5.0))
@@ -382,7 +387,7 @@ class TestBackward:
         np.testing.assert_array_equal(a.grad, np.full((2, 2), 5.0))
         np.testing.assert_array_equal(b.grad, np.full((2, 2), 6.0))
 
-        x, y = T.parameter(np.ones(3)), T.parameter(np.ones(3))
+        x, y = parameter(np.ones(3)), parameter(np.ones(3))
         backward(((x + x) + y).sum())
         backward((x * 5.0).sum())
         np.testing.assert_array_equal(x.grad, np.full(3, 7.0))
@@ -402,13 +407,6 @@ class TestPurityAndMisc:
         first = T.activation(T.linear(x, w, b), "relu").data
         second = T.activation(T.linear(x, w, b), "relu").data
         np.testing.assert_array_equal(first, second)
-
-    def test_group_max_rows_tie_to_first_slot(self):
-        x = Tensor(np.array([[1.0], [1.0], [0.5], [2.0]]), requires_grad=True)
-        out = T.group_max_rows(x, 2)
-        np.testing.assert_array_equal(out.data, [[1.0], [2.0]])
-        backward(out.sum())
-        np.testing.assert_array_equal(x.grad, [[1.0], [0.0], [0.0], [1.0]])
 
     def test_tile_rows_backward_sums_replicas(self):
         x = Tensor(rand((3, 2), 21), requires_grad=True)
@@ -434,7 +432,7 @@ class TestPurityAndMisc:
         worker.start()
         try:
             assert entered.wait(timeout=30)
-            x = T.parameter(rand((2, 2)))
+            x = parameter(rand((2, 2)))
             out = x * 2.0
         finally:
             release.set()
