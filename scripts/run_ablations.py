@@ -8,9 +8,9 @@ runs end to end.
 """
 import argparse
 import time
-from dataclasses import replace
+from dataclasses import fields
 
-from spcnet.cli import VARIANTS, _apply_variant
+from spcnet.cli import VARIANTS
 from spcnet.data import generate_shapes
 from spcnet.model import ModelConfig
 from spcnet.training import TrainConfig, evaluate, train
@@ -33,14 +33,15 @@ def main():
         ["sphere", "cube", "cylinder", "cone", "torus", "plane"],
         args.shapes, args.points, args.seed,
     )
-    base = ModelConfig(points_per_shape=args.points, width_scale=0.125, knn_k=8)
+    base = {f.name: f.default for f in fields(ModelConfig)}
+    base.update(points_per_shape=args.points, width_scale=0.125, knn_k=8)
     train_config = TrainConfig(
         epochs=args.epochs, batch_size=args.shapes, lr=args.lr, seed=args.seed
     )
 
     print(f"{'variant':14s} {'cd_x1000':>10s} {'minutes':>8s}")
     for name in [v.strip() for v in args.variants.split(",") if v.strip()]:
-        config = base if name == "baseline" else _apply_variant(base, name)
+        config = ModelConfig(**(base if name == "baseline" else VARIANTS[name](base)))
         started = time.time()
         result = train(dataset, config, train_config)
         report = evaluate(result.params, result.config, dataset)

@@ -94,12 +94,12 @@ def _parse_config_block(blob: bytes, path) -> tuple[ModelConfig, dict, int | Non
     for key in required:
         if key not in entries:
             raise CheckpointError(f"{path}: config key {key!r} is missing")
-    config = ModelConfig(**{
+    values = {
         f.name: _decode_value(entries[f.name], f.default, path, f.name)
         for f in dataclass_fields(ModelConfig)
-    })
+    }
     try:
-        config.validate()
+        config = ModelConfig(**values)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     meta = {k[5:]: v for k, v in entries.items() if k.startswith("meta.")}

@@ -9,29 +9,29 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields as dataclass_fields, replace
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import SHAPE_KINDS, generate_dataset, load_dataset, read_xyz, write_xyz
-from .model import LOSS_MODES, ModelConfig, spcnet_forward, stage_names
+from .model import LOSS_MODES, ModelConfig, config_value, spcnet_forward, stage_names
 from .rng import Rng
 from .tensor import Tensor, no_grad
 from .training import LR_DECAYS, TrainConfig, evaluate, train
 
-# ablation variant -> the model config it trains, from the base config
+# ablation variant -> the model-config field values it trains, from the base ones
 VARIANTS = {
-    "scm1": lambda c: replace(c, scm_count=1, upsample_factors=(1,)),
-    "scm2": lambda c: replace(c, scm_count=2, upsample_factors=(c.down_rate, 1)),
-    "pointnet-mlp": lambda c: replace(c, vmlp_kind="pointnet_mlp"),
-    "one-subnet": lambda c: replace(c, vmlp_kind="one_subnet"),
-    "no-agg": lambda c: replace(c, use_aggregation=False),
-    "edge-conv": lambda c: replace(c, conv_kind="edge"),
-    "rps": lambda c: replace(c, sampling_kind="rps"),
-    "pnk-pn": lambda c: replace(c, partial_substitution="pnk-pn"),
-    "pnkk-pn": lambda c: replace(c, partial_substitution="pnkk-pn"),
+    "scm1": lambda v: dict(v, scm_count=1, upsample_factors=(1,)),
+    "scm2": lambda v: dict(v, scm_count=2, upsample_factors=(v["down_rate"], 1)),
+    "pointnet-mlp": lambda v: dict(v, vmlp_kind="pointnet_mlp"),
+    "one-subnet": lambda v: dict(v, vmlp_kind="one_subnet"),
+    "no-agg": lambda v: dict(v, use_aggregation=False),
+    "edge-conv": lambda v: dict(v, conv_kind="edge"),
+    "rps": lambda v: dict(v, sampling_kind="rps"),
+    "pnk-pn": lambda v: dict(v, partial_substitution="pnk-pn"),
+    "pnkk-pn": lambda v: dict(v, partial_substitution="pnkk-pn"),
 }
 
 
@@ -45,54 +45,27 @@ def _parse_viewpoint(text: str):
     return values
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# type of a config field's default -> (test of a JSON value, what it expects)
-_CONFIG_VALUE_TYPES = {
-    tuple: (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
-    bool: (lambda v: isinstance(v, bool), "true or false"),
-    int: (_is_int, "an integer"),
-    float: (lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    str: (lambda v: isinstance(v, str), "a string"),
-}
-
-
-def _config_from_args(args) -> ModelConfig:
-    config = ModelConfig()
+def _config_values(args) -> dict:
+    """Every model-config field value but the point count: the defaults, then
+    ``--config``, then ``--missing-ratio`` and ``--loss-mode``.  Each given
+    value is checked here, before any data is read."""
+    given = {}
     if args.config:
         with open(args.config) as fh:
             try:
-                overrides = json.load(fh)
+                given = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
-        if not isinstance(overrides, dict):
+        if not isinstance(given, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-        defaults = {f.name: f.default for f in dataclass_fields(ModelConfig)}
-        unknown = set(overrides) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for name, value in overrides.items():
-            accepts, expected = _CONFIG_VALUE_TYPES[type(defaults[name])]
-            if not accepts(value):
-                raise ValueError(
-                    f"config key {name}: expected {expected}, got {json.dumps(value)}"
-                )
-            if isinstance(defaults[name], float):
-                overrides[name] = float(value)
-        config = replace(config, **overrides)
-    if args.missing_ratio is not None:
-        config = replace(config, missing_ratio=args.missing_ratio)
-    if args.loss_mode is not None:
-        config = replace(config, loss_mode=args.loss_mode)
-    return config
-
-
-def _apply_variant(config: ModelConfig, variant: str) -> ModelConfig:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    return VARIANTS[variant](config)
+    values = {f.name: f.default for f in dataclass_fields(ModelConfig)}
+    unknown = set(given) - set(values)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    flags = {"missing_ratio": args.missing_ratio, "loss_mode": args.loss_mode}
+    given.update((name, value) for name, value in flags.items() if value is not None)
+    values.update((name, config_value(name, value)) for name, value in given.items())
+    return values
 
 
 # -- subcommands --------------------------------------------------------------
@@ -104,9 +77,11 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _run_training(args, config: ModelConfig) -> int:
+def _cmd_train(args) -> int:
+    """``train``, and ``ablate`` with ``args.variant`` set."""
+    values = _config_values(args)
     dataset = load_dataset(args.data)
-    config = replace(config, points_per_shape=dataset.shapes[0][1].shape[0])
+    values["points_per_shape"] = dataset.shapes[0][1].shape[0]
     train_config = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -114,6 +89,9 @@ def _run_training(args, config: ModelConfig) -> int:
         seed=args.seed,
         lr_decay=args.lr_decay,
     )
+    if args.variant:
+        values = VARIANTS[args.variant](values)
+    config = ModelConfig(**values)
     result = train(dataset, config, train_config)
     ckpt = Checkpoint(
         config=result.config, params=result.params, adam=result.adam, meta=result.meta
@@ -140,15 +118,6 @@ def _run_training(args, config: ModelConfig) -> int:
         print("\n".join(lines))
     print(f"saved checkpoint(s): {', '.join(saved)}")
     return 0
-
-
-def _cmd_train(args) -> int:
-    return _run_training(args, _config_from_args(args))
-
-
-def _cmd_ablate(args) -> int:
-    config = _apply_variant(_config_from_args(args), args.variant)
-    return _run_training(args, config)
 
 
 def _cmd_complete(args) -> int:
@@ -221,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a completion network")
     _add_train_flags(p)
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, variant=None)
 
     p = sub.add_parser("complete", help="complete a partial cloud")
     p.add_argument("--ckpt", required=True)
@@ -243,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="train a named ablation variant")
     p.add_argument("--variant", choices=VARIANTS, required=True)
     _add_train_flags(p)
-    p.set_defaults(func=_cmd_ablate)
+    p.set_defaults(func=_cmd_train)
 
     return parser
 

@@ -191,6 +191,8 @@ class Dataset:
 def generate_shapes(kinds, count: int, points_per_shape: int, seed: int) -> Dataset:
     """Deterministic procedural dataset, cycling through the requested kinds."""
     kinds = list(kinds)
+    if not kinds:
+        raise ValueError(f"no shape kinds given (known: {SHAPE_KINDS})")
     for kind in kinds:
         if kind not in _GENERATORS:
             raise ValueError(f"unknown shape kind {kind!r} (known: {SHAPE_KINDS})")

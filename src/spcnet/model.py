@@ -7,6 +7,7 @@ last, and the refinement module slices the trailing block back out.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -24,9 +25,59 @@ LOSS_MODES = ("1L", "2L", "4L")
 PARTIAL_SUBSTITUTIONS = ("none", "pnk-pn", "pnkk-pn")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# type of a config field's default -> (test of a value, what it expects)
+_VALUE_TYPES = {
+    tuple: (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)), "a list of integers"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (_is_int, "an integer"),
+    float: (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+# config field -> (test of a value of its type, the rule it breaks)
+_FIELD_RULES = {
+    "missing_ratio": (lambda v: 0.0 < v < 1.0, "missing_ratio must be in (0, 1)"),
+    "down_rate": (lambda v: v >= 1, "down_rate must be >= 1"),
+    "scm_count": (lambda v: 1 <= v <= 3, "scm_count must be 1..3"),
+    "upsample_factors": (lambda v: all(u >= 1 for u in v), "upsample factors must be >= 1"),
+    "grid_r": (np.isfinite, "grid_r must be finite"),
+    "knn_k": (lambda v: v >= 1, "knn_k must be >= 1"),
+    "width_scale": (lambda v: 0.0 < v < np.inf, "width_scale must be a positive finite number"),
+}
+
+# config field -> the values it may take
+_CHOICES = {
+    "conv_kind": CONV_KINDS, "vmlp_kind": L.VMLP_KINDS, "sampling_kind": SAMPLING_KINDS,
+    "loss_mode": LOSS_MODES, "partial_substitution": PARTIAL_SUBSTITUTIONS,
+}
+
+
+def config_value(name: str, value):
+    """``value`` as config field ``name`` holds it: of the type of the
+    field's default (an int widens to a float, a list to a tuple) and within
+    the field's own rule.  Anything else is a ValueError."""
+    default = ModelConfig.__dataclass_fields__[name].default
+    accepts, expected = _VALUE_TYPES[type(default)]
+    if not accepts(value):
+        raise ValueError(
+            f"config key {name}: expected {expected}, got {json.dumps(value, default=repr)}"
+        )
+    value = type(default)(value)
+    if name in _FIELD_RULES and not _FIELD_RULES[name][0](value):
+        raise ValueError(f"{_FIELD_RULES[name][1]}, got {value!r}")
+    if name in _CHOICES and value not in _CHOICES[name]:
+        raise ValueError(f"{name} must be one of {_CHOICES[name]}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture and ablation switches.
+    """Architecture and ablation switches, checked when built: each field by
+    ``config_value``, then the rules between fields.
 
     ``width_scale`` multiplies every layer width of the base schedule, which
     keeps the wiring topology fixed while shrinking runs to desk scale.
@@ -49,11 +100,6 @@ class ModelConfig:
     loss_mode: str = "1L"
     partial_substitution: str = "none"
 
-    def __post_init__(self):
-        for f in fields(self):
-            if isinstance(f.default, tuple):
-                object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
-
     # -- derived counts ----------------------------------------------------
 
     @property
@@ -75,32 +121,13 @@ class ModelConfig:
             counts.append(counts[-1] * factor)
         return counts
 
-    def validate(self) -> None:
-        if not 1 <= self.scm_count <= 3:
-            raise ValueError(f"scm_count must be 1..3, got {self.scm_count}")
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, config_value(f.name, getattr(self, f.name)))
         if len(self.upsample_factors) != self.scm_count:
             raise ValueError(
                 f"upsample_factors {self.upsample_factors} must have one entry "
                 f"per refinement stage ({self.scm_count})"
-            )
-        if any(u < 1 for u in self.upsample_factors):
-            raise ValueError(f"upsample factors must be >= 1, got {self.upsample_factors}")
-        if not 0.0 < self.missing_ratio < 1.0:
-            raise ValueError(f"missing_ratio must be in (0, 1), got {self.missing_ratio}")
-        if self.conv_kind not in CONV_KINDS:
-            raise ValueError(f"conv_kind must be one of {CONV_KINDS}, got {self.conv_kind!r}")
-        if self.vmlp_kind not in L.VMLP_KINDS:
-            raise ValueError(f"vmlp_kind must be one of {L.VMLP_KINDS}, got {self.vmlp_kind!r}")
-        if self.sampling_kind not in SAMPLING_KINDS:
-            raise ValueError(
-                f"sampling_kind must be one of {SAMPLING_KINDS}, got {self.sampling_kind!r}"
-            )
-        if self.loss_mode not in LOSS_MODES:
-            raise ValueError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
-        if self.partial_substitution not in PARTIAL_SUBSTITUTIONS:
-            raise ValueError(
-                f"partial_substitution must be one of {PARTIAL_SUBSTITUTIONS}, "
-                f"got {self.partial_substitution!r}"
             )
         prod = int(np.prod(self.upsample_factors))
         if self.missing_count % prod != 0 or self.coarse_count < 1:
@@ -336,7 +363,6 @@ def spcnet_forward(
 ) -> StageOutputs:
     """Full pipeline: multi-resolution sampling of the partial input, the
     coarse stage, then every refinement stage with feature hand-off."""
-    config.validate()
     p_partial = as_tensor(p_partial)
     if p_partial.shape[0] != config.partial_count:
         raise ValueError(
@@ -375,7 +401,6 @@ def spcnet_forward(
 def init_params(config: ModelConfig, seed: int | None) -> ParamSet:
     """Every parameter of every stage, in a fixed walk order under one seed;
     ``seed=None`` draws nothing and leaves weights zero (the layout alone)."""
-    config.validate()
     w = width_schedule(config.width_scale)
     pb = ParamBuilder(None if seed is None else Rng(seed))
 

@@ -186,6 +186,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"lr must be a positive finite number, got {self.lr}")
         if self.lr_decay not in LR_DECAYS:
             raise ValueError(f"lr_decay must be one of {LR_DECAYS}, got {self.lr_decay!r}")
 
@@ -246,7 +248,6 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig) -> Trai
     shapes = dataset.shapes
     if not shapes:
         raise ValueError("train: dataset is empty")
-    model_config.validate()
     weights = LossWeights()
     rng = Rng(train_config.seed)
     sampling_rng = rng.spawn()

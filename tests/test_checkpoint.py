@@ -78,7 +78,6 @@ class TestRoundTrip:
             sampling_kind="rps", width_scale=0.0625, loss_mode="4L",
             partial_substitution="pnk-pn",
         )
-        config.validate()
         assert all(getattr(config, f.name) != f.default for f in fields(ModelConfig))
         path = tmp_path / "m.spcn"
         save_checkpoint(Checkpoint(config=config, params=init_params(config, 0)), path)
@@ -265,3 +264,16 @@ class TestConfigErrors:
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
         assert str(info.value) == f"{path}: scm_count must be 1..3, got 5"
+
+    @pytest.mark.parametrize("old, new, message", [
+        (b"knn_k=4", b"knn_k=0", "knn_k must be >= 1, got 0"),
+        (b"grid_r=0.05", b"grid_r=nan", "grid_r must be finite, got nan"),
+        (b"width_scale=0.0625", b"width_scale=-0.0625",
+         "width_scale must be a positive finite number, got -0.0625"),
+    ])
+    def test_value_out_of_range_is_prefixed_with_the_path(self, tmp_path, old, new, message):
+        path = self.saved(tmp_path)
+        rewrite_config_block(path, old, new)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: {message}"

@@ -62,6 +62,17 @@ class TestGenData:
         ])
         assert code == 1
 
+    def test_empty_kind_list_fails_with_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert main([
+            "gen-data", "--out", str(out), "--shapes", ",", "--count", "1", "--points", "32",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no shape kinds given (known: ")
+        assert "sphere" in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestTrain:
     def test_checkpoint_and_trace_written(self, trained, tmp_path):
@@ -119,6 +130,41 @@ class TestTrain:
         assert capsys.readouterr().err == "error: epoch 1, shape 0: non-finite loss\n"
         assert not (tmp_path / "m.spcn").exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-0.001"])
+    def test_bad_learning_rate_fails_with_one_line_error(
+        self, tmp_path, data_dir, config_file, lr, capsys
+    ):
+        capsys.readouterr()
+        assert main([
+            "train", "--data", str(data_dir), "--out", str(tmp_path / "m.spcn"),
+            "--epochs", "1", "--config", str(config_file), "--lr", lr,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: lr must be a positive finite number, got {float(lr)}\n"
+        assert not (tmp_path / "m.spcn").exists()
+
+    def test_config_is_built_once_from_every_value(self, tmp_path, capsys):
+        # the defaults do not divide 100 points, the scm1 variant does: the
+        # variant and the point count apply before anything is checked
+        data = tmp_path / "data"
+        assert main([
+            "gen-data", "--out", str(data), "--shapes", "sphere", "--count", "2",
+            "--points", "100",
+        ]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"width_scale": 0.0625, "knn_k": 4}))
+        flags = ["--data", str(data), "--epochs", "1", "--config", str(config)]
+        ckpt = tmp_path / "scm1.spcn"
+        assert main(["ablate", "--variant", "scm1", "--out", str(ckpt), *flags]) == 0
+        assert load_checkpoint(ckpt).config.points_per_shape == 100
+        capsys.readouterr()
+        assert main(["train", "--out", str(tmp_path / "m.spcn"), *flags]) == 1
+        assert capsys.readouterr().err == (
+            "error: missing part of 50 points is not divisible by the upsample "
+            "chain (4, 4, 1)\n"
+        )
+        assert not (tmp_path / "m.spcn").exists()
+
     def test_unknown_config_key_fails(self, tmp_path, data_dir):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"no_such_field": 1}))
@@ -138,6 +184,14 @@ class TestTrain:
         ({"grid_r": "0.05"}, 'config key grid_r: expected a number, got "0.05"'),
         ({"conv_kind": None}, "config key conv_kind: expected a string, got null"),
         ([1, 2], "config must be a JSON object"),
+        ({"down_rate": 0}, "down_rate must be >= 1, got 0"),
+        ({"knn_k": 0}, "knn_k must be >= 1, got 0"),
+        ({"width_scale": float("nan")}, "width_scale must be a positive finite number, got nan"),
+        ({"width_scale": 0}, "width_scale must be a positive finite number, got 0.0"),
+        ({"width_scale": -0.5}, "width_scale must be a positive finite number, got -0.5"),
+        ({"width_scale": float("inf")}, "width_scale must be a positive finite number, got inf"),
+        ({"grid_r": float("nan")}, "grid_r must be finite, got nan"),
+        ({"grid_r": float("-inf")}, "grid_r must be finite, got -inf"),
     ])
     def test_config_value_of_wrong_type_fails_with_one_line_error(
         self, tmp_path, overrides, message, capsys

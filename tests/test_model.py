@@ -61,6 +61,28 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(sampling_kind="grid").validate()
 
+    @pytest.mark.parametrize("change, message", [
+        ({"down_rate": 0}, "down_rate must be >= 1, got 0"),
+        ({"knn_k": 0}, "knn_k must be >= 1, got 0"),
+        ({"width_scale": float("nan")}, "width_scale must be a positive finite number, got nan"),
+        ({"width_scale": 0.0}, "width_scale must be a positive finite number, got 0.0"),
+        ({"grid_r": float("inf")}, "grid_r must be finite, got inf"),
+        ({"knn_k": 4.0}, "config key knn_k: expected an integer, got 4.0"),
+        ({"upsample_factors": (2, "2", 1)},
+         'config key upsample_factors: expected a list of integers, got [2, "2", 1]'),
+        ({"use_aggregation": 1}, "config key use_aggregation: expected true or false, got 1"),
+    ])
+    def test_replace_cannot_make_an_invalid_config(self, change, message):
+        with pytest.raises(ValueError) as info:
+            replace(TINY, **change)
+        assert str(info.value) == message
+
+    def test_values_take_their_field_type(self):
+        cfg = ModelConfig(upsample_factors=[4, 4, 1], grid_r=1)
+        assert cfg.upsample_factors == (4, 4, 1) and cfg.grid_r == 1.0
+        assert type(cfg.grid_r) is float
+        assert cfg == ModelConfig(grid_r=1.0)
+
     def test_reversed_ratio(self):
         cfg = ModelConfig(missing_ratio=0.25)
         assert cfg.reversed_ratio().missing_ratio == 0.75
@@ -78,7 +100,6 @@ class TestModelConfig:
             points_per_shape=total, scm_count=scm_count, upsample_factors=factors,
             down_rate=2, width_scale=0.0625, knn_k=4,
         )
-        cfg.validate()
         counts = cfg.stage_counts()
         assert len(counts) == scm_count + 1
         assert counts[0] == cfg.coarse_count
