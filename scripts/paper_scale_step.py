@@ -3,14 +3,15 @@
 
 The default ModelConfig (2048 points, width_scale 1.0, knn_k 16, 1L loss):
 one procedural shape is split at a cube corner, scored by the training loss,
-and back-propagated. Prints the parameter count and init time, the forward
-and backward wall times, and the peak of the memory ``tracemalloc`` traces
-over both (the parameters, made before tracing starts, are not in it; their
-gradients are).
+and back-propagated. Prints the parameter count, the init time and the
+process's peak resident memory right after init, the forward and backward
+wall times, and the peak of the memory ``tracemalloc`` traces over both (the
+parameters, made before tracing starts, are not in it; their gradients are).
 
     PYTHONPATH=src python3 scripts/paper_scale_step.py
 """
 import argparse
+import resource
 import time
 import tracemalloc
 
@@ -31,6 +32,7 @@ def main():
     started = time.perf_counter()
     params = init_params(config, args.seed)
     init_s = time.perf_counter() - started
+    init_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     (_, points), = generate_shapes([args.shape], 1, config.points_per_shape, args.seed).shapes
     p_n, p_m = viewpoint_split(points, (1.0, 1.0, 1.0), config.missing_ratio)
 
@@ -48,7 +50,10 @@ def main():
     tracemalloc.stop()
 
     count = sum(p.data.size for p in params.values())
-    print(f"parameters {count / 1e6:.1f} M (init {init_s:.1f} s), loss {loss.item():.6g}")
+    print(
+        f"parameters {count / 1e6:.1f} M ({count * 8 / 2**20:.0f} MB; init {init_s:.1f} s, "
+        f"peak RSS after init {init_rss_mb:.0f} MB), loss {loss.item():.6g}"
+    )
     print(f"forward {forward_s:.2f} s, backward {backward_s:.2f} s, traced peak {peak_mb:.0f} MB")
 
 

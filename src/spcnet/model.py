@@ -8,6 +8,7 @@ last, and the refinement module slices the trailing block back out.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -44,6 +45,9 @@ _FIELD_RULES = {
     "down_rate": (lambda v: v >= 1, "down_rate must be >= 1"),
     "scm_count": (lambda v: 1 <= v <= 3, "scm_count must be 1..3"),
     "upsample_factors": (lambda v: all(u >= 1 for u in v), "upsample factors must be >= 1"),
+    "grid_count": (
+        lambda v: v >= 1 and math.isqrt(v) ** 2 == v, "grid_count must be a positive perfect square"
+    ),
     "grid_r": (np.isfinite, "grid_r must be finite"),
     "knn_k": (lambda v: v >= 1, "knn_k must be >= 1"),
     "width_scale": (lambda v: 0.0 < v < np.inf, "width_scale must be a positive finite number"),
@@ -129,6 +133,11 @@ class ModelConfig:
                 f"upsample_factors {self.upsample_factors} must have one entry "
                 f"per refinement stage ({self.scm_count})"
             )
+        for factor in self.upsample_factors:
+            if factor > self.grid_count:
+                raise ValueError(
+                    f"upsample factor {factor} exceeds grid_count {self.grid_count}"
+                )
         prod = int(np.prod(self.upsample_factors))
         if self.missing_count % prod != 0 or self.coarse_count < 1:
             raise ValueError(

@@ -1,16 +1,28 @@
 """Deterministic random generation: xoshiro256** seeded via splitmix64.
 
-Pure-integer arithmetic, so streams are identical on every platform for a
-given seed.  Everything downstream (sampling, init, data generation) draws
-from this generator rather than numpy's, which keeps runs reproducible
-independent of the numpy version.
+Streams are identical on every platform for a given seed.  Single draws and
+short arrays step the generator in pure-integer arithmetic.  Long arrays run
+``lanes`` copies of the same stream side by side as numpy ``uint64`` words
+(wrapping arithmetic, the same bits), started at exact jump-ahead offsets:
+xoshiro's state update is linear over GF(2) (Blackman & Vigna, "Scrambled
+linear pseudorandom number generators", ACM TOMS 2021), so jumping n steps
+multiplies the 256-bit state by the n-th power of a 256 x 256 bit matrix.
+Those products run as float64 0/1 matrices reduced mod 2; every sum in them
+is an integer of at most 256, which float64 holds exactly whatever the BLAS
+summation order, so the jumps are exact everywhere too.  Everything downstream
+(sampling, init, data generation) draws from this generator rather than
+numpy's, which keeps runs reproducible independent of the numpy version.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 1.0 / (1 << 53)
+# draws of at least this many values advance lanes; shorter ones loop
+_LANE_MIN = 1024
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -23,6 +35,54 @@ def _splitmix64(state: int) -> tuple[int, int]:
 
 def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+def _state_bits(words) -> np.ndarray:
+    """The 256 state bits, word w's bit b at index 64 w + b, as 0/1 uint8."""
+    return np.unpackbits(np.array(words, dtype="<u8").view(np.uint8), bitorder="little")
+
+
+@lru_cache(maxsize=None)
+def _jump_matrix(k: int) -> np.ndarray:
+    """M^(2^k), where column c of the one-step bit matrix M is the state one
+    step after the state holding bit c alone; kept bit-packed by row (8 KB)."""
+    if k == 0:
+        probe = Rng(0)
+        columns = []
+        for c in range(256):
+            probe._s = [0, 0, 0, 0]
+            probe._s[c // 64] = 1 << (c % 64)
+            probe.next_uint64()
+            columns.append(_state_bits(probe._s))
+        power = np.stack(columns, axis=1)
+    else:
+        half = _jump(k - 1)
+        power = ((half @ half).astype(np.int32) & 1).astype(np.uint8)
+    packed = np.packbits(power, axis=1)
+    packed.flags.writeable = False
+    return packed
+
+
+def _jump(k: int) -> np.ndarray:
+    """M^(2^k) as a float64 0/1 matrix."""
+    return np.unpackbits(_jump_matrix(k), axis=1).astype(np.float64)
+
+
+def _lane_starts(state, k: int, lanes: int) -> list:
+    """The state 0, L, 2L, ... (lanes - 1) L steps on from ``state``, with
+    L = 2^k, as four uint64 arrays (one per word) indexed by lane."""
+    starts = np.empty((256, lanes), dtype=np.float64)
+    starts[:, 0] = _state_bits(state)
+    made = 1
+    while made < lanes:
+        # jump the starts made so far by their count times L
+        ahead = _jump(k) @ starts[:, : min(made, lanes - made)]
+        starts[:, made : made + ahead.shape[1]] = ahead.astype(np.int32) & 1
+        made += ahead.shape[1]
+        k += 1
+    packed = np.packbits(starts.astype(np.uint8), axis=0, bitorder="little")
+    words = np.ascontiguousarray(packed.T).view("<u8")
+    return [words[:, w].astype(np.uint64) for w in range(4)]
 
 
 class Rng:
@@ -56,12 +116,57 @@ class Rng:
         return lo + (hi - lo) * u
 
     def uniform_array(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        # inlined generator step: bulk init draws are hot
+        """``shape`` draws of ``uniform(lo, hi)``, in row-major order: the
+        same values, and the same state afterwards, as drawing them one by one."""
         n = int(np.prod(shape)) if shape else 1
         out = np.empty(n, dtype=np.float64)
+        span = hi - lo
+        whole = 0
+        if n >= _LANE_MIN:
+            # lanes 2^k long, k chosen so that the lane length is about sqrt(n)
+            k = (n.bit_length() - 1) // 2
+            whole = n >> k << k
+            self._fill_lanes(out[:whole].reshape(-1, 1 << k), lo, span)
+        self._fill(out[whole:], lo, span)
+        return out.reshape(shape)
+
+    def _fill_lanes(self, out: np.ndarray, lo: float, span: float) -> None:
+        """Fill ``out`` [lanes, L], L a power of two, row by row from the
+        stream, lane j's i-th value being the stream's value j L + i, and
+        leave the state at the end of the last lane."""
+        lanes, length = out.shape
+        s0, s1, s2, s3 = _lane_starts(self._s, length.bit_length() - 1, lanes)
+        r = np.empty(lanes, dtype=np.uint64)
+        t = np.empty(lanes, dtype=np.uint64)
+        for i in range(length):
+            np.multiply(s1, 5, out=r)
+            np.left_shift(r, 7, out=t)
+            r >>= 57
+            r |= t
+            r *= 9
+            r >>= 11
+            out[:, i] = r
+            np.left_shift(s1, 17, out=t)
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            np.left_shift(s3, 45, out=t)
+            s3 >>= 19
+            s3 |= t
+        # (r >> 11) is exact in float64 and 2^-53 a power of two, so these
+        # round exactly as lo + span * ((r >> 11) * 2^-53) does
+        out *= _INV_2_53
+        out *= span
+        out += lo
+        self._s = [int(s0[-1]), int(s1[-1]), int(s2[-1]), int(s3[-1])]
+
+    def _fill(self, out: np.ndarray, lo: float, span: float) -> None:
+        # inlined generator step, one value per iteration
         s0, s1, s2, s3 = self._s
-        span, mask = hi - lo, _MASK64
-        for i in range(n):
+        mask = _MASK64
+        for i in range(out.shape[0]):
             r = (s1 * 5) & mask
             r = (((r << 7) | (r >> 57)) & mask) * 9 & mask
             t = (s1 << 17) & mask
@@ -73,7 +178,6 @@ class Rng:
             s3 = ((s3 << 45) | (s3 >> 19)) & mask
             out[i] = lo + span * ((r >> 11) * _INV_2_53)
         self._s = [s0, s1, s2, s3]
-        return out.reshape(shape)
 
     def randrange(self, n: int) -> int:
         """Unbiased integer in [0, n) by rejection."""

@@ -207,6 +207,23 @@ class TestTrain:
         assert err.startswith("error: ") and err.endswith(f"{message}\n")
         assert err.count("\n") == 1
 
+    def test_bad_grid_count_is_reported_when_the_config_is_built(
+        self, tmp_path, data_dir, capsys
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "grid_count": -4, "width_scale": 0.0625, "down_rate": 2, "upsample_factors": [2, 2, 1],
+        }))
+        capsys.readouterr()
+        assert main([
+            "train", "--data", str(data_dir), "--out", str(tmp_path / "m.spcn"),
+            "--epochs", "1", "--config", str(bad),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            "error: grid_count must be a positive perfect square, got -4\n"
+        )
+        assert not (tmp_path / "m.spcn").exists()
+
     @pytest.mark.parametrize("text", ["", '{"knn_k": 8,}'])
     def test_malformed_config_file_named_in_one_line_error(self, tmp_path, text, capsys):
         bad = tmp_path / "bad.json"

@@ -1,4 +1,5 @@
 """Pipeline assembly: counts, contracts, identities, determinism."""
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -71,11 +72,20 @@ class TestModelConfig:
         ({"upsample_factors": (2, "2", 1)},
          'config key upsample_factors: expected a list of integers, got [2, "2", 1]'),
         ({"use_aggregation": 1}, "config key use_aggregation: expected true or false, got 1"),
+        ({"grid_count": 0}, "grid_count must be a positive perfect square, got 0"),
+        ({"grid_count": -4}, "grid_count must be a positive perfect square, got -4"),
+        ({"grid_count": 15}, "grid_count must be a positive perfect square, got 15"),
+        ({"grid_count": 1}, "upsample factor 2 exceeds grid_count 1"),
+        ({"grid_count": 4, "upsample_factors": (2, 9, 1)}, "upsample factor 9 exceeds grid_count 4"),
     ])
     def test_replace_cannot_make_an_invalid_config(self, change, message):
         with pytest.raises(ValueError) as info:
             replace(TINY, **change)
         assert str(info.value) == message
+
+    def test_factors_up_to_grid_count_are_accepted(self):
+        assert replace(TINY, grid_count=4, upsample_factors=(4, 2, 1)).grid_count == 4
+        assert replace(TINY, grid_count=1, upsample_factors=(1, 1, 1)).grid_count == 1
 
     def test_values_take_their_field_type(self):
         cfg = ModelConfig(upsample_factors=[4, 4, 1], grid_r=1)
@@ -106,6 +116,32 @@ class TestModelConfig:
         for i, u in enumerate(cfg.upsample_factors):
             assert counts[i + 1] == counts[i] * u
         assert counts[-1] == cfg.missing_count
+
+
+class TestInitParams:
+    # sha256 of init_params(config, 5) for each (conv_kind, vmlp_kind) at the
+    # benchmark's desk width, frozen from the one-value-per-step generator loop:
+    # the names, shapes and float64 bytes in walk order.  The weights range
+    # from 24 to 32768 values, so both the short-draw loop and the lane path
+    # of Rng.uniform_array are pinned, and with them checkpoint bytes.
+    DIGESTS = {
+        ("adapt", "vmlp"): "7908cd3fa624a63b32e59e8d380f455f3e8e3e660494c164e277a7d0f80ccac3",
+        ("adapt", "pointnet_mlp"): "faeace3be109bb160808bba90a7e13bb9f7d7f6228db8d5eabd5c91e8d4def63",
+        ("adapt", "one_subnet"): "9f62c79095f9117eb763b385196f607ae9a8035a9f846ff6f50d29559f42aafa",
+        ("edge", "vmlp"): "0ff561b47079173ed026e8680f23c9af9a5b0d13f0ea1f3ca9271becab55b906",
+        ("edge", "pointnet_mlp"): "8d07e113f87eea17310cc0b2b19fa6e8e4005c718806424455390e96fc01b952",
+        ("edge", "one_subnet"): "af0e2dd365a4dade0366aaa88445edcf375c817590613078d42d170153d7d007",
+    }
+
+    @pytest.mark.parametrize("conv_kind, vmlp_kind", sorted(DIGESTS))
+    def test_init_bits_are_frozen(self, conv_kind, vmlp_kind):
+        cfg = replace(TINY, width_scale=0.125, conv_kind=conv_kind, vmlp_kind=vmlp_kind)
+        digest = hashlib.sha256()
+        for name, p in init_params(cfg, 5).items():
+            digest.update(name.encode())
+            digest.update(repr(p.data.shape).encode())
+            digest.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        assert digest.hexdigest() == self.DIGESTS[conv_kind, vmlp_kind]
 
 
 class TestStageNames:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from spcnet.rng import Rng
+from spcnet.rng import _LANE_MIN, Rng
 
 # First 16 raw draws from seed 42, frozen as the cross-platform regression
 # vector for the generator algorithm.
@@ -45,6 +45,69 @@ def test_uniform_array_shape_and_bounds():
     arr = Rng(9).uniform_array((4, 5), -0.5, 0.5)
     assert arr.shape == (4, 5)
     assert np.all(np.abs(arr) <= 0.5)
+
+
+def drawn_one_by_one(seed, n, lo=0.0, hi=1.0):
+    """uniform(lo, hi) spelled out on next_uint64, and the generator after it."""
+    rng = Rng(seed)
+    values = [lo + (hi - lo) * ((rng.next_uint64() >> 11) * 2.0**-53) for _ in range(n)]
+    return np.array(values, dtype=np.float64), rng
+
+
+def assert_same_stream_after(a, b):
+    assert [a.next_uint64() for _ in range(8)] == [b.next_uint64() for _ in range(8)]
+    assert a.spawn().uniform_array(_LANE_MIN).tobytes() == b.spawn().uniform_array(_LANE_MIN).tobytes()
+
+
+# around the short-draw cutoff; 64 * 64 is a whole number of lanes and one
+# more leaves a remainder of 1 (lanes are a power of two long, about sqrt(n));
+# 70001 has a lane count that is not a power of two
+@pytest.mark.parametrize("n", [
+    _LANE_MIN - 1, _LANE_MIN, _LANE_MIN + 1, 64 * 64, 64 * 64 + 1, 5000, 70001,
+])
+def test_uniform_array_is_the_stream_drawn_one_by_one(n):
+    expected, after = drawn_one_by_one(31, n)
+    rng = Rng(31)
+    got = rng.uniform_array(n)
+    assert got.shape == (n,)
+    assert got.tobytes() == expected.tobytes()
+    assert_same_stream_after(rng, after)
+
+
+def test_uniform_array_2d_shape_is_row_major():
+    expected, after = drawn_one_by_one(32, 48 * 50, -0.125, 0.375)
+    rng = Rng(32)
+    got = rng.uniform_array((48, 50), -0.125, 0.375)
+    assert got.shape == (48, 50)
+    assert got.tobytes() == expected.tobytes()
+    assert_same_stream_after(rng, after)
+
+
+@pytest.mark.parametrize("n, lo, hi", [(100, -3.0, 7.5), (3000, -3.0, 7.5), (3000, 2.0, 2.5)])
+def test_uniform_array_scales_as_uniform(n, lo, hi):
+    expected, after = drawn_one_by_one(33, n, lo, hi)
+    reference = Rng(33)
+    assert expected.tobytes() == np.array([reference.uniform(lo, hi) for _ in range(n)]).tobytes()
+    rng = Rng(33)
+    got = rng.uniform_array(n, lo, hi)
+    assert got.tobytes() == expected.tobytes()
+    assert np.all((got >= lo) & (got < hi))
+    assert_same_stream_after(rng, after)
+
+
+def test_uniform_array_scalar_shape_draws_one_value():
+    expected, after = drawn_one_by_one(34, 1)
+    rng = Rng(34)
+    got = rng.uniform_array(())
+    assert got.shape == () and got.item() == expected[0]
+    assert_same_stream_after(rng, after)
+
+
+def test_uniform_array_zero_size_draws_nothing():
+    rng = Rng(35)
+    got = rng.uniform_array((0, 5))
+    assert got.shape == (0, 5)
+    assert_same_stream_after(rng, Rng(35))
 
 
 def test_randrange_bounds_and_coverage():
