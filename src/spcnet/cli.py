@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
-from .data import SHAPE_KINDS, generate_dataset, load_dataset, read_xyz, write_xyz
+from .data import SHAPE_KINDS, generate_dataset, load_dataset, read_text, read_xyz, write_xyz
 from .model import LOSS_MODES, ModelConfig, config_value, spcnet_forward, stage_names
 from .rng import Rng
 from .tensor import Tensor, no_grad
@@ -51,11 +51,10 @@ def _config_values(args) -> dict:
     value is checked here, before any data is read."""
     given = {}
     if args.config:
-        with open(args.config) as fh:
-            try:
-                given = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
+        try:
+            given = json.loads(read_text(args.config))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
         if not isinstance(given, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
     values = {f.name: f.default for f in dataclass_fields(ModelConfig)}
@@ -82,13 +81,8 @@ def _cmd_train(args) -> int:
     values = _config_values(args)
     dataset = load_dataset(args.data)
     values["points_per_shape"] = dataset.shapes[0][1].shape[0]
-    train_config = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        seed=args.seed,
-        lr_decay=args.lr_decay,
-    )
+    given = {f.name: getattr(args, f.name) for f in dataclass_fields(TrainConfig)}
+    train_config = TrainConfig(**{name: v for name, v in given.items() if v is not None})
     if args.variant:
         values = VARIANTS[args.variant](values)
     config = ModelConfig(**values)
@@ -163,14 +157,15 @@ def _add_train_flags(p) -> None:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--epochs", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--missing-ratio", type=float, default=None)
     p.add_argument("--loss-mode", type=str.upper, choices=LOSS_MODES, default=None)
     p.add_argument("--config", default=None, help="JSON file of model-config overrides")
     p.add_argument("--trace", default=None, help="write the per-epoch loss trace here")
-    p.add_argument("--batch-size", type=int, default=24)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--lr-decay", choices=LR_DECAYS, default="none")
+    # None: the TrainConfig default
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--lr-decay", choices=LR_DECAYS, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,6 +35,15 @@ def write_xyz(cloud: np.ndarray, path) -> None:
             fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
 
 
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; other bytes are an error naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def read_xyz(path, extra_columns: bool = False) -> np.ndarray:
     """Parse one point per line; blank and '#' lines are skipped.
 
@@ -43,23 +52,20 @@ def read_xyz(path, extra_columns: bool = False) -> np.ndarray:
     ignored.  Every coordinate must be a finite number; errors name the line.
     """
     points = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            fields = text.split()
-            if len(fields) < 3 or (len(fields) > 3 and not extra_columns):
-                raise ValueError(
-                    f"{path}:{lineno}: expected 3 coordinates, got {len(fields)}"
-                )
-            try:
-                point = [float(v) for v in fields[:3]]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric coordinate") from None
-            if not all(map(math.isfinite, point)):
-                raise ValueError(f"{path}:{lineno}: non-finite coordinate")
-            points.append(point)
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        fields = text.split()
+        if len(fields) < 3 or (len(fields) > 3 and not extra_columns):
+            raise ValueError(f"{path}:{lineno}: expected 3 coordinates, got {len(fields)}")
+        try:
+            point = [float(v) for v in fields[:3]]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric coordinate") from None
+        if not all(map(math.isfinite, point)):
+            raise ValueError(f"{path}:{lineno}: non-finite coordinate")
+        points.append(point)
     return np.asarray(points, dtype=np.float64).reshape(-1, 3)
 
 
@@ -233,11 +239,10 @@ def load_dataset(data_dir) -> Dataset:
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
     if manifest_path.exists():
-        with open(manifest_path) as fh:
-            try:
-                manifest = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{manifest_path}: not valid JSON: {exc}") from None
+        try:
+            manifest = json.loads(read_text(manifest_path))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{manifest_path}: not valid JSON: {exc}") from None
         entries = manifest.get("shapes") if isinstance(manifest, dict) else None
         if not isinstance(entries, list) or not entries:
             raise ValueError(f"{manifest_path}: needs a non-empty \"shapes\" list")

@@ -102,7 +102,8 @@ def self_knn_k(k: int, n: int) -> int:
 
 # Graph convolutions by ``ModelConfig.conv_kind``: AdaptConv (Zhou et al., ICCV
 # 2021) and EdgeConv (Wang et al., DGCNN), as parameter builders
-# (pb, prefix, feat_width, m_out); ``_conv_over_edges`` runs both.
+# (pb, prefix, feat_width, m_out).  EdgeConv is the kernel with no generator
+# units; ``_conv_over_edges`` runs both.
 CONVS = {"adapt": adaptconv_params, "edge": edgeconv_params}
 
 
@@ -129,9 +130,10 @@ def _conv_over_edges(
     whose rows are gathered per edge.  The adaptive kernel's generator bias
     is a hidden unit fixed at 1, so an edge's response to output ``o`` is
     ``sum_u hid[e, u] (A[i] + B[j])[o, u]`` with ``A = f_c W_c`` and
-    ``B = f_r W_r``; EdgeConv is the same with the single unit 1.  Forward
-    builds per-edge arrays one block of centres at a time and keeps the
-    argmax (ties to the lowest neighbour slot).  Backward needs only the
+    ``B = f_r W_r``.  EdgeConv is the kernel with no generator units: its
+    ``theta`` is the bias unit's row, and its coordinates get no gradient.
+    Forward builds per-edge arrays one block of centres at a time and keeps
+    the argmax (ties to the lowest neighbour slot).  Backward needs only the
     max edges: it recomputes their hidden units and responses from the
     inputs, and contracts with the weights before scattering to the
     references.
@@ -142,33 +144,29 @@ def _conv_over_edges(
     if neighbors.size and (neighbors.min() < 0 or neighbors.max() >= ref_feats.shape[0]):
         raise IndexError(f"{kind} conv: neighbour index out of range for {ref_feats.shape[0]} rows")
     d = center_feats.shape[1]
-    adapt = kind == "adapt"
-    if adapt:
-        w0, b0, w1, b1 = (params[f"{prefix}.g.{n}"] for n in ("l0.w", "l0.b", "l1.w", "l1.b"))
-        weights = (w0, b0, w1, b1)
-        inputs = (center_coords, center_feats, ref_coords, ref_feats)
-        units = w0.shape[1] + 1
-        w0_r = w0.data[3:]
-        w0_c = w0.data[:3] - w0_r
+    if kind == "adapt":
+        weights = tuple(params[f"{prefix}.g.{n}"] for n in ("l0.w", "l0.b", "l1.w", "l1.b"))
+        parents = (center_coords, center_feats, ref_coords, ref_feats) + weights
+        w0, b0, w1, b1 = (w.data for w in weights)
     else:
         theta = params[f"{prefix}.theta"]
-        weights = (theta,)
-        inputs = (center_feats, ref_feats)
-        units = 1
+        parents = (center_feats, ref_feats, theta)
+        w0, b0, w1 = np.empty((6, 0)), np.empty(0), np.empty((0, 2 * d * m_out))
+        b1 = theta.data.T.reshape(-1)
+    units = w0.shape[1] + 1
+    w0_r = w0[3:]
+    w0_c = w0[:3] - w0_r
     xc, fc, xr, fr = center_coords.data, center_feats.data, ref_coords.data, ref_feats.data
 
     def factored_weights():
         """[m_out, d, units] weights of the centre and reference projections
         (recomputed in backward rather than held on the tape)."""
-        if adapt:
-            kernel = np.vstack([w1.data, b1.data[None]]).reshape(units, m_out, 2 * d)
-        else:
-            kernel = theta.data.T.reshape(1, m_out, 2 * d)
+        kernel = np.vstack([w1, b1[None]]).reshape(units, m_out, 2 * d)
         w_r = np.ascontiguousarray(kernel[:, :, d:].transpose(1, 2, 0))
         return kernel[:, :, :d].transpose(1, 2, 0) - w_r, w_r
 
     def generator_inputs():
-        return xc @ w0_c + b0.data, xr @ w0_r
+        return xc @ w0_c + b0, xr @ w0_r
 
     def project(f, w):
         """[points, m_out, units] projection of features ``f``."""
@@ -176,8 +174,7 @@ def _conv_over_edges(
 
     w_c, w_r = factored_weights()
     proj_c, proj_r = project(fc, w_c), project(fr, w_r)
-    if adapt:
-        hid_c, hid_r = generator_inputs()
+    hid_c, hid_r = generator_inputs()
     arg = np.empty((q, m_out), dtype=np.intp)
     best = np.empty((q, m_out))
     blocks = row_blocks(q, 8 * k * m_out * units)
@@ -187,12 +184,9 @@ def _conv_over_edges(
         # "clip" skips take's buffered bounds check; the indices were checked
         z = np.take(proj_r, nbrs, axis=0, out=z_buf[: len(nbrs)], mode="clip")
         z += proj_c[rows, None]
-        if adapt:
-            pre = hid_r[nbrs]
-            pre += hid_c[rows, None]
-            h = (z @ _hidden_units(pre)[..., None])[..., 0]
-        else:
-            h = z[..., 0]
+        pre = hid_r[nbrs]
+        pre += hid_c[rows, None]
+        h = (z @ _hidden_units(pre)[..., None])[..., 0]
         arg[rows] = h.argmax(axis=1)
         best[rows] = np.take_along_axis(h, arg[rows, None, :], axis=1)[:, 0, :]
     out_data = best * _leaky_factor(best)
@@ -201,56 +195,54 @@ def _conv_over_edges(
         # leaky keeps the sign, so the output gives the slope at the max
         g_h = (g * _leaky_factor(out_data)).T[:, :, None]  # [m_out, q, 1]
         w_c, w_r = factored_weights()
+        hid_c, hid_r = generator_inputs()
         g_fc = np.empty_like(fc)
         g_fr = np.zeros_like(fr)
         r = fr.shape[0]
         g_w_c = np.zeros_like(w_c)
         g_w_r = np.zeros_like(w_r)
-        if adapt:
-            hid_c, hid_r = generator_inputs()
-            g_hid_c = np.empty_like(hid_c)
-            g_xr = np.zeros_like(xr)
-            g_w0_r = np.zeros_like(w0_r)
+        g_hid_c = np.empty_like(hid_c)
+        g_xr = np.zeros_like(xr)
+        g_w0_r = np.zeros_like(w0_r)
         for rows in row_blocks(q, 8 * m_out * max(units, d)):
             # [m_out, qb] reference at each output's max edge
             picked = np.take_along_axis(neighbors[rows], arg[rows], axis=1).T
             gh = g_h[:, rows]
             fc_b, fr_p = fc[rows], fr[picked]
-            if adapt:
-                pre = hid_c[rows] + hid_r[picked]
-                g_a = _hidden_units(pre) * gh
-            else:
-                g_a = gh
+            pre = hid_c[rows] + hid_r[picked]
             # g_a [m_out, qb, units]: gradient of A[i] (and of B at the max edge)
+            g_a = _hidden_units(pre) * gh
             g_fc[rows] = (g_a @ w_c.transpose(0, 2, 1)).sum(axis=0)
             g_w_c += fc_b.T @ g_a
             g_fr += T.scatter_rows(picked, (g_a @ w_r.transpose(0, 2, 1)).reshape(-1, d), r)
             g_w_r += fr_p.transpose(0, 2, 1) @ g_a
-            if adapt:
-                z = fc_b @ w_c + fr_p @ w_r
-                g_pre = z[..., :-1] * gh
-                np.multiply(g_pre, EDGE_SLOPE, out=g_pre, where=pre <= 0.0)
-                g_hid_c[rows] = g_pre.sum(axis=0)
-                g_pre = g_pre.reshape(-1, units - 1)
-                g_xr += T.scatter_rows(picked, g_pre @ w0_r.T, r)
-                g_w0_r += xr[picked].reshape(-1, 3).T @ g_pre
+            z = fc_b @ w_c + fr_p @ w_r
+            g_pre = z[..., :-1] * gh
+            np.multiply(g_pre, EDGE_SLOPE, out=g_pre, where=pre <= 0.0)
+            g_hid_c[rows] = g_pre.sum(axis=0)
+            g_pre = g_pre.reshape(picked.size, units - 1)
+            g_xr += T.scatter_rows(picked, g_pre @ w0_r.T, r)
+            g_w0_r += xr[picked].reshape(-1, 3).T @ g_pre
         # W_c = W_top - W_bot and W_r = W_bot; back to the [units, m_out, 2d] kernel
         g_w_r -= g_w_c
         g_kernel = np.concatenate([g_w_c, g_w_r], axis=1).transpose(2, 0, 1)
         center_feats._accumulate(g_fc, owned=True)
         ref_feats._accumulate(g_fr, owned=True)
-        if adapt:
+        if kind == "adapt":
             center_coords._accumulate(g_hid_c @ w0_c.T, owned=True)
             ref_coords._accumulate(g_xr, owned=True)
             g_w0_c = xc.T @ g_hid_c
-            w0._accumulate(np.vstack([g_w0_c, g_w0_r - g_w0_c]), owned=True)
-            b0._accumulate(g_hid_c.sum(axis=0), owned=True)
-            w1._accumulate(g_kernel[:-1].reshape(units - 1, -1), owned=True)
-            b1._accumulate(g_kernel[-1].reshape(-1), owned=True)
+            for weight, grad in zip(weights, (
+                np.vstack([g_w0_c, g_w0_r - g_w0_c]),
+                g_hid_c.sum(axis=0),
+                g_kernel[:-1].reshape(units - 1, -1),
+                g_kernel[-1].reshape(-1),
+            )):
+                weight._accumulate(grad, owned=True)
         else:
-            theta._accumulate(np.ascontiguousarray(g_kernel[0].T), owned=True)
+            theta._accumulate(np.ascontiguousarray(g_kernel[-1].T), owned=True)
 
-    return Tensor._node(out_data, inputs + weights, bwd)
+    return Tensor._node(out_data, parents, bwd)
 
 
 def graph_conv(
@@ -518,7 +510,7 @@ def fold_decode(
     grid_count: int,
     params: ParamSet,
     prefix: str,
-    hidden_dims: tuple = (256, 128),
+    hidden_dims: tuple,
 ) -> Tensor:
     """Replicate each coarse point ``upsample_k`` times and displace each
     replica by an MLP over [grid code, point feature, coarse point].

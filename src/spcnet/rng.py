@@ -120,14 +120,13 @@ class Rng:
         same values, and the same state afterwards, as drawing them one by one."""
         n = int(np.prod(shape)) if shape else 1
         out = np.empty(n, dtype=np.float64)
-        span = hi - lo
         whole = 0
         if n >= _LANE_MIN:
             # lanes 2^k long, k chosen so that the lane length is about sqrt(n)
             k = (n.bit_length() - 1) // 2
             whole = n >> k << k
-            self._fill_lanes(out[:whole].reshape(-1, 1 << k), lo, span)
-        self._fill(out[whole:], lo, span)
+            self._fill_lanes(out[:whole].reshape(-1, 1 << k), lo, hi - lo)
+        out[whole:] = [self.uniform(lo, hi) for _ in range(whole, n)]
         return out.reshape(shape)
 
     def _fill_lanes(self, out: np.ndarray, lo: float, span: float) -> None:
@@ -161,23 +160,6 @@ class Rng:
         out *= span
         out += lo
         self._s = [int(s0[-1]), int(s1[-1]), int(s2[-1]), int(s3[-1])]
-
-    def _fill(self, out: np.ndarray, lo: float, span: float) -> None:
-        # inlined generator step, one value per iteration
-        s0, s1, s2, s3 = self._s
-        mask = _MASK64
-        for i in range(out.shape[0]):
-            r = (s1 * 5) & mask
-            r = (((r << 7) | (r >> 57)) & mask) * 9 & mask
-            t = (s1 << 17) & mask
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & mask
-            out[i] = lo + span * ((r >> 11) * _INV_2_53)
-        self._s = [s0, s1, s2, s3]
 
     def randrange(self, n: int) -> int:
         """Unbiased integer in [0, n) by rejection."""

@@ -94,6 +94,22 @@ class TestTrain:
         assert outs[0] == outs[1]
         assert (tmp_path / "a.trace").read_text() == (tmp_path / "b.trace").read_text()
 
+    def test_omitted_train_flags_take_the_config_defaults(self, tmp_path, data_dir, config_file):
+        outs = []
+        for name, flags in (
+            ("omitted", []),
+            ("spelled", ["--batch-size", "24", "--lr", "1e-4", "--lr-decay", "none", "--seed", "0"]),
+        ):
+            ckpt = tmp_path / f"{name}.spcn"
+            assert main([
+                "train", "--data", str(data_dir), "--out", str(ckpt),
+                "--epochs", "1", "--config", str(config_file),
+                "--trace", str(tmp_path / f"{name}.trace"), *flags,
+            ]) == 0
+            outs.append(ckpt.read_bytes())
+        assert outs[0] == outs[1]
+        assert (tmp_path / "omitted.trace").read_text() == (tmp_path / "spelled.trace").read_text()
+
     def test_loss_mode_flag(self, tmp_path, data_dir, config_file):
         ckpt = tmp_path / "m2.spcn"
         assert main([
@@ -297,6 +313,41 @@ class TestMiscountedFile:
         capsys.readouterr()
         assert main([*argv, "--data", str(data_dir)]) == 1
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
+
+
+class TestNotUtf8:
+    """A file that is not UTF-8 text is named in a one-line error."""
+
+    @staticmethod
+    def run(argv, bad, capsys):
+        bad.write_bytes(b"\xff\xfe 0.1 0.2 0.3\n")
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: not UTF-8 text: invalid start byte at byte 0\n"
+        )
+
+    @pytest.mark.parametrize("name", ["shape_0001.xyz", "manifest.json"])
+    def test_dataset_file(self, tmp_path, data_dir, config_file, name, capsys):
+        out = tmp_path / "m.spcn"
+        argv = data_command("train", tmp_path, config_file, out)
+        self.run([*argv, "--data", str(data_dir)], data_dir / name, capsys)
+        assert not out.exists()
+
+    def test_config_file(self, tmp_path, capsys):
+        bad = tmp_path / "config.json"
+        argv = ["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.spcn"),
+                "--epochs", "1", "--config", str(bad)]
+        self.run(argv, bad, capsys)
+
+    def test_complete_input(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.spcn"
+        config = ModelConfig(**{**TINY_OVERRIDES, "upsample_factors": (2, 2, 1)})
+        save_checkpoint(Checkpoint(config=config, params=init_params(config, 0)), ckpt)
+        bad, out = tmp_path / "partial.xyz", tmp_path / "o.xyz"
+        argv = ["complete", "--ckpt", str(ckpt), "--in", str(bad), "--out", str(out)]
+        self.run(argv, bad, capsys)
         assert not out.exists()
 
 

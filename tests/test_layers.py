@@ -253,6 +253,25 @@ class TestEdgeConv:
 
         assert finite_diff_check(f, pb.entries) < 1e-4
 
+    def test_no_gradient_reaches_the_coordinates(self):
+        # the kernel has no generator, so the coordinates are not inputs of it
+        pb = ParamBuilder(Rng(13))
+        L.edgeconv_params(pb, "c", 2, 3)
+        pts = Tensor(cloud(10, 13), requires_grad=True)
+        fs = Tensor(feats(10, 2, 13), requires_grad=True)
+        self_conv = L.graph_conv("edge", pts, fs, knn(pts.data, pts.data, 3), pb.entries, "c", 3)
+        (xc, fc, xr, fr), nbrs, params = conv_case("edge", 6, 15, 4, 2, 3, 14)
+        pool_conv = L._conv_over_edges("edge", xc, fc, xr, fr, nbrs, params, "c", 3)
+        for out, coords, features, theta in (
+            (self_conv, (pts,), (fs, fs), pb.entries["c.theta"]),
+            (pool_conv, (xc, xr), (fc, fr), params["c.theta"]),
+        ):
+            assert all(t.requires_grad for t in coords + features)
+            assert [id(p) for p in out._parents] == [id(t) for t in features + (theta,)]
+            backward(probe(out, 15))
+            assert all(c.grad is None for c in coords)
+            assert all(f.grad is not None for f in features + (theta,))
+
 
 def group_max_rows(x, group_size):
     """Max over consecutive row groups, [g*k, d] -> [g, d], as one node;
