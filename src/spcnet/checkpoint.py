@@ -10,6 +10,7 @@ any earlier file intact.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field, fields as dataclass_fields
@@ -183,7 +184,7 @@ def load_checkpoint(path) -> Checkpoint:
         name = r.take(name_len, "tensor name").decode("utf-8")
         rank = r.u32("rank")
         shape = tuple(r.u64("extent") for _ in range(rank))
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)  # Python ints: a uint64 product would wrap
         values = np.frombuffer(r.take(4 * size, f"values of {name}"), dtype="<f4")
         raw[name] = values.astype(np.float64).reshape(shape)
     if r.offset != len(blob):

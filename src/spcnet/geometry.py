@@ -125,72 +125,6 @@ def knn(
     return NeighborGraph(neighbors=neighbors)
 
 
-def knn_from_graph(
-    cloud: np.ndarray, graph: NeighborGraph, query_idx, ref_idx, k: int
-) -> NeighborGraph:
-    """Exactly ``knn(cloud[query_idx], cloud[ref_idx], k, exclude_self=False)``
-    (neighbours as positions in ``ref_idx``), reading each row off ``graph``,
-    the cloud's k-NN graph on itself, where the graph decides it.
-
-    The candidates of query point p are p and its graph row, limited to
-    ``ref_idx``, ranked by (squared distance, position in ``ref_idx``).  Every
-    point outside the row lies at least as far from p as its last graph
-    neighbour, so the row is decided when its k-th candidate is strictly
-    nearer than that neighbour, or when the row holds every other point.
-    The undecided rows (NaN rows among them) go to one ``knn`` call.
-    """
-    cloud = np.asarray(cloud, dtype=np.float64)
-    query_idx = np.asarray(query_idx, dtype=np.intp)
-    ref_idx = np.asarray(ref_idx, dtype=np.intp)
-    n, r, width = cloud.shape[0], ref_idx.shape[0], graph.neighbors.shape[1] + 1
-    if not 1 <= k <= r:
-        raise ValueError(f"knn: k={k} exceeds available neighbors ({r})")
-    position = np.full(n, r, dtype=np.intp)  # r: not a reference point
-    position[ref_idx] = np.arange(r)
-    neighbors = np.empty((query_idx.shape[0], k), dtype=np.intp)
-    decided = np.zeros(query_idx.shape[0], dtype=bool)
-    cols = _columns(cloud)
-    # rows of fewer than k entries decide nothing, nor do repeated references
-    # (fps repeats points once a cloud's distinct ones run out)
-    readable = width >= k and np.count_nonzero(position < r) == r
-    for rows in row_blocks(query_idx.shape[0], 8 * width) if readable else []:
-        cand = np.empty((rows.stop - rows.start, width), dtype=np.intp)
-        cand[:, 0] = query_idx[rows]
-        cand[:, 1:] = graph.neighbors[cand[:, 0]]
-        pos = position[cand]
-        # a NaN cloud's graph can list a point in its own row
-        pos[:, 1:][cand[:, 1:] == cand[:, :1]] = r
-        # a row of fewer than k candidates is left to the search
-        sub = np.flatnonzero(np.count_nonzero(pos < r, axis=1) >= k)
-        cand, pos = cand[sub], pos[sub]
-        # _sq_dists's steps on the candidate pairs: (dx² + dy²) + dz²
-        d2 = cols[0][cand[:, :1]] - cols[0][cand]
-        d2 *= d2
-        step = np.empty_like(d2)
-        for c in cols[1:]:
-            np.subtract(c[cand[:, :1]], c[cand], out=step)
-            step *= step
-            d2 += step
-        # p and its row come in (d2, index) order, so equal distances are
-        # runs of columns: rank by (run, position), the others last
-        run = np.zeros(d2.shape, dtype=np.intp)
-        np.cumsum(d2[:, 1:] != d2[:, :-1], axis=1, out=run[:, 1:])
-        key = run * (r + 1) + pos
-        key[pos == r] = width * (r + 1)
-        at = np.arange(sub.shape[0])[:, None]
-        order = np.argsort(key, axis=1)[:, :k]
-        # a non-finite k-th distance (NaN or inf rows) is never decided
-        kth = d2[at[:, 0], order[:, -1]]
-        ok = (kth < d2[:, -1]) | ((width >= n) & np.isfinite(kth))
-        neighbors[rows.start + sub[ok]] = pos[at, order][ok]
-        decided[rows.start + sub[ok]] = True
-    rest = np.flatnonzero(~decided)
-    if rest.size:
-        searched = knn(cloud[query_idx[rest]], cloud[ref_idx], k, exclude_self=False)
-        neighbors[rest] = searched.neighbors
-    return NeighborGraph(neighbors=neighbors)
-
-
 def _k_smallest(d2: np.ndarray, k: int) -> np.ndarray:
     """[rows, k] column indices of each row's k smallest entries, ordered by
     (value, index): the first k columns of a stable argsort."""

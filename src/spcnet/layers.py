@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .geometry import NeighborGraph, fps, knn, knn_from_graph, nearest_index, row_blocks
+from .geometry import NeighborGraph, fps, knn, nearest_index, row_blocks
 from .optim import ParamBuilder, ParamSet
 from .tensor import Tensor, as_tensor, constant
 
@@ -202,8 +202,13 @@ def _conv_over_edges(
         g_w_c = np.zeros_like(w_c)
         g_w_r = np.zeros_like(w_r)
         g_hid_c = np.empty_like(hid_c)
-        g_xr = np.zeros_like(xr)
-        g_w0_r = np.zeros_like(w0_r)
+        # the generator's share: its hidden units' columns of the projection
+        # weights, and the coordinates, which reach the output only through
+        # those units (none of either without generator units)
+        gen_c, gen_r = w_c[..., :-1], w_r[..., :-1]
+        xr_gen = xr[:, : 3 if units > 1 else 0]
+        w0_gen = w0_r[: xr_gen.shape[1]]
+        g_xr, g_w0_r = np.zeros_like(xr_gen), np.zeros_like(w0_gen)
         for rows in row_blocks(q, 8 * m_out * max(units, d)):
             # [m_out, qb] reference at each output's max edge
             picked = np.take_along_axis(neighbors[rows], arg[rows], axis=1).T
@@ -216,13 +221,13 @@ def _conv_over_edges(
             g_w_c += fc_b.T @ g_a
             g_fr += T.scatter_rows(picked, (g_a @ w_r.transpose(0, 2, 1)).reshape(-1, d), r)
             g_w_r += fr_p.transpose(0, 2, 1) @ g_a
-            z = fc_b @ w_c + fr_p @ w_r
-            g_pre = z[..., :-1] * gh
+            g_pre = fc_b @ gen_c + fr_p @ gen_r
+            g_pre *= gh
             np.multiply(g_pre, EDGE_SLOPE, out=g_pre, where=pre <= 0.0)
             g_hid_c[rows] = g_pre.sum(axis=0)
             g_pre = g_pre.reshape(picked.size, units - 1)
-            g_xr += T.scatter_rows(picked, g_pre @ w0_r.T, r)
-            g_w0_r += xr[picked].reshape(-1, 3).T @ g_pre
+            g_xr += T.scatter_rows(picked, g_pre @ w0_gen.T, r)
+            g_w0_r += xr_gen[picked].reshape(picked.size, -1).T @ g_pre
         # W_c = W_top - W_bot and W_r = W_bot; back to the [units, m_out, 2d] kernel
         g_w_r -= g_w_c
         g_kernel = np.concatenate([g_w_c, g_w_r], axis=1).transpose(2, 0, 1)
@@ -282,24 +287,38 @@ def graph_pool(
     k nearest neighbors in the original cloud (the point itself included as a
     zero-distance neighbor).
 
-    Given ``graph``, the cloud's graph on itself, the neighbours are read off
-    it (``knn_from_graph``); a pooled cloud has none, and ``knn`` searches
-    it.  Returns the kept indices with their coordinates and new features.
+    Given ``graph``, the cloud's graph on itself, a kept point's neighbours
+    are the point followed by the first k - 1 entries of its graph row.  On
+    a cloud without coincident points that is ``knn``'s table.  With them,
+    the row of a point with lower-index copies holds ``knn``'s set in
+    another order, or, with k or more such copies, the point in place of the
+    last copy; either way the forward max is unchanged where copies carry
+    equal features.  Farthest point sampling keeps the lowest-index copy, so
+    here every row is ``knn``'s.  A pooled cloud has no graph, and ``knn``
+    searches it.  Returns the kept indices with their coordinates and new
+    features.
     """
     coords, features = as_tensor(coords), as_tensor(features)
     n = coords.shape[0]
     if pool_n > n:
         raise ValueError(f"graph_pool: pool_n {pool_n} exceeds point count {n}")
+    k_eff = max(1, min(k, n))
+    if graph is not None and (
+        graph.neighbors.shape[0] != n or graph.neighbors.shape[1] < k_eff - 1
+    ):
+        raise ValueError(
+            f"graph_pool: graph of {graph.neighbors.shape} does not give {k_eff - 1} "
+            f"neighbours of each of {n} points"
+        )
     idx = fps(coords.data, pool_n)
     kept_coords = T.gather_rows(coords, idx)
     kept_feats = T.gather_rows(features, idx)
-    k_eff = max(1, min(k, n))
     if graph is None:
-        table = knn(kept_coords.data, coords.data, k_eff, exclude_self=False)
+        table = knn(kept_coords.data, coords.data, k_eff, exclude_self=False).neighbors
     else:
-        table = knn_from_graph(coords.data, graph, idx, np.arange(n), k_eff)
+        table = np.concatenate([idx[:, None], graph.neighbors[idx, : k_eff - 1]], axis=1)
     new_feats = _conv_over_edges(
-        kind, kept_coords, kept_feats, coords, features, table.neighbors, params, prefix, out_width
+        kind, kept_coords, kept_feats, coords, features, table, params, prefix, out_width
     )
     return idx, kept_coords, new_feats
 

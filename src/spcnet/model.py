@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from . import layers as L
-from .geometry import NeighborGraph, fps, knn, knn_from_graph, rps
+from .geometry import NeighborGraph, fps, knn, rps
 from .optim import ParamBuilder, ParamSet
 from .rng import Rng
 from .tensor import Tensor, as_tensor
@@ -283,12 +283,12 @@ def acm_forward(
     config: ModelConfig,
 ) -> Tensor:
     """Graph-convolution encoder over the joined cloud's ``graph``, a detailed
-    point-wise local feature, and a folding head over the trailing block.
+    local feature of each predicted point, and a folding head over them.
 
-    The encoder pools twice and interpolates both pooled features back
-    (PointNet++'s feature propagation).  Pool1's neighbours and both
-    interpolations' are read off ``graph`` (``knn_from_graph``); only pool2,
-    over the pooled cloud, searches with ``knn``.
+    The encoder pools twice and interpolates both pooled features back onto
+    the trailing block of predicted points (PointNet++'s feature
+    propagation, only where the fold reads it).  Pool1's neighbours are
+    read off ``graph``; pool2 and the interpolations search with ``knn``.
     """
     whole = as_tensor(whole)
     p_missing = as_tensor(p_missing)
@@ -305,29 +305,28 @@ def acm_forward(
     f0 = L.graph_conv(
         kind, whole, pointwise_global, graph, params, f"{prefix}.conv0", w.encoder[0]
     )
-    idx1, c1, f1 = L.graph_pool(
+    _, c1, f1 = L.graph_pool(
         whole, f0, max(1, n // 2), config.knn_k, params, f"{prefix}.pool1",
         w.encoder[1], kind, graph,
     )
-    idx2, c2, f2 = L.graph_pool(
+    _, c2, f2 = L.graph_pool(
         c1, f1, max(1, c1.shape[0] // 2), config.knn_k, params, f"{prefix}.pool2",
         w.encoder[2], kind,
     )
     code = global_code(f2)
-    # both pooled clouds are rows of the joined one: read their neighbours
-    # off its graph as well
-    every = np.arange(n)
-    up1 = knn_from_graph(whole.data, graph, every, idx1, min(3, idx1.shape[0]))
-    up2 = knn_from_graph(whole.data, graph, every, idx1[idx2], min(3, idx2.shape[0]))
-    u1 = L.interpolate_up(whole, c1, f1, up1.neighbors)
-    u2 = L.interpolate_up(whole, c2, f2, up2.neighbors)
-    detail = T.concat([f0, u1, u2, T.tile_rows(code.reshape(1, -1), n)], axis=1)
+    up1 = knn(p_missing.data, c1.data, min(3, c1.shape[0]), exclude_self=False)
+    up2 = knn(p_missing.data, c2.data, min(3, c2.shape[0]), exclude_self=False)
+    u1 = L.interpolate_up(p_missing, c1, f1, up1.neighbors)
+    u2 = L.interpolate_up(p_missing, c2, f2, up2.neighbors)
+    tail = np.arange(n - m, n)
+    detail = T.concat(
+        [T.gather_rows(f0, tail), u1, u2, T.tile_rows(code.reshape(1, -1), m)], axis=1
+    )
     local = L.shared_mlp(
         detail, L.LayerSpec((w.local_feat,), use_bn=False), params, f"{prefix}.local"
     )
-    tail = T.gather_rows(local, np.arange(n - m, n))
     return L.fold_decode(
-        p_missing, tail, upsample_k, config.grid_r, config.grid_count,
+        p_missing, local, upsample_k, config.grid_r, config.grid_count,
         params, f"{prefix}.fold", w.fold_hidden,
     )
 

@@ -1,4 +1,5 @@
 """Checkpoint binary format and round-trip guarantees."""
+import re
 import struct
 from dataclasses import fields
 from types import SimpleNamespace
@@ -129,6 +130,21 @@ class TestFormatErrors:
         bad.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError, match="offset"):
             load_checkpoint(bad)
+
+    # products of 2^64, 2^65 and (2^64 - 1)^2 values: a 64-bit integer
+    # product wraps them to 0, 0 and 1
+    @pytest.mark.parametrize("extents", [(2**32, 2**32), (2**62, 8), (2**64 - 1, 2**64 - 1)])
+    def test_extents_past_two_to_the_64_read_as_truncated(self, tmp_path, extents):
+        path = tmp_path / "huge.spcn"
+        save_checkpoint(make_checkpoint(8), path)
+        blob = path.read_bytes()
+        name = b"coarse.enc.l0.w"
+        at = blob.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+        assert struct.unpack("<I", blob[at:at + 4])[0] == 2
+        path.write_bytes(blob[:at + 4] + struct.pack("<QQ", *extents) + blob[at + 20:])
+        message = re.escape(f"{path}: truncated while reading values of coarse.enc.l0.w")
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):
         good = tmp_path / "good.spcn"

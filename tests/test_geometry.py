@@ -10,14 +10,12 @@ from spcnet.geometry import (
     _sq_dists,
     fps,
     knn,
-    knn_from_graph,
     nearest_index,
     normalize_cloud,
     rps,
     viewpoint_split,
     viewpoint_split_indices,
 )
-from spcnet import geometry as G
 from spcnet.rng import Rng
 
 
@@ -216,120 +214,6 @@ class TestKnn:
         )
 
 
-def stage_tables(pts, k):
-    """(query_idx, ref_idx, k) of the three tables a refinement stage reads
-    off its self graph: pool1, and the interpolations into both pooled clouds."""
-    n = pts.shape[0]
-    every = np.arange(n)
-    idx1 = fps(pts, max(1, n // 2))
-    idx2 = fps(pts[idx1], max(1, idx1.shape[0] // 2))
-    return [
-        (idx1, every, min(k, n)),
-        (every, idx1, min(3, idx1.shape[0])),
-        (every, idx1[idx2], min(3, idx2.shape[0])),
-    ]
-
-
-def assert_reads_as_searched(pts, graph_k, query_idx, ref_idx, k):
-    graph = knn(pts, pts, graph_k)
-    np.testing.assert_array_equal(
-        knn_from_graph(pts, graph, query_idx, ref_idx, k).neighbors,
-        knn(pts[query_idx], pts[ref_idx], k, exclude_self=False).neighbors,
-    )
-
-
-class TestKnnFromGraph:
-    @pytest.mark.parametrize("n", [128, 512, 2048])
-    def test_random_clouds(self, n):
-        pts = cloud(n, n)
-        for query_idx, ref_idx, k in stage_tables(pts, 16):
-            assert_reads_as_searched(pts, 16, query_idx, ref_idx, k)
-
-    def test_lattice_with_tied_distances(self):
-        pts = np.round(cloud(600, 30) * 3.0) / 3.0
-        for query_idx, ref_idx, k in stage_tables(pts, 16):
-            assert_reads_as_searched(pts, 16, query_idx, ref_idx, k)
-        # a 4 x 4 x 4 integer lattice: every interior row ties at its k-th entry
-        pts = np.array(list(itertools.product(range(4), repeat=3)), dtype=np.float64)
-        rng = np.random.default_rng(31)
-        for k in (1, 6, 7, 16):
-            assert_reads_as_searched(pts, 16, np.arange(64), np.arange(64), k)
-            assert_reads_as_searched(pts, 16, np.arange(64), rng.permutation(64)[:20], min(k, 20))
-
-    def test_duplicated_points(self):
-        pts = cloud(300, 32)
-        pts[100:200] = pts[:100]
-        pts[250:] = pts[0]  # one point fifty-one times over
-        for query_idx, ref_idx, k in stage_tables(pts, 16):
-            assert_reads_as_searched(pts, 16, query_idx, ref_idx, k)
-        assert_reads_as_searched(pts, 16, np.arange(300), np.arange(300)[::-1], 16)
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 16, 17])
-    def test_clouds_of_at_most_k_plus_one_points(self, n):
-        pts = np.round(cloud(n, 33) * 2.0) / 2.0
-        for query_idx, ref_idx, k in stage_tables(pts, 16):
-            assert_reads_as_searched(pts, n - 1, query_idx, ref_idx, k)
-        for k in range(1, n + 1):
-            assert_reads_as_searched(pts, n - 1, np.arange(n), np.arange(n), k)
-
-    def test_full_rows_need_no_search(self, monkeypatch):
-        # each row of a 17-point cloud's 16-NN graph holds every other point
-        pts = np.round(cloud(17, 39) * 2.0) / 2.0
-        graph = knn(pts, pts, 16)
-        monkeypatch.setattr(G, "knn", None)
-        for k in (1, 16, 17):
-            knn_from_graph(pts, graph, np.arange(17), np.arange(17)[::-1], k)
-
-    @pytest.mark.parametrize("n", [12, 64])
-    def test_cloud_with_a_nan_row(self, n):
-        # a NaN point's graph row lists the point itself, and with n - 1
-        # neighbours the other rows miss it
-        pts = np.round(cloud(n, 34) * 2.0) / 2.0
-        pts[5] = np.nan
-        every = np.arange(n)
-        refs = [every, every[::-1], np.random.default_rng(n).permutation(n)[: n // 2]]
-        with np.errstate(invalid="ignore"):
-            for graph_k, ref_idx, k in itertools.product(
-                sorted({4, n - 1}), refs, (1, 3, n - 2, n - 1, n)
-            ):
-                assert_reads_as_searched(pts, graph_k, every, ref_idx, min(k, ref_idx.shape[0]))
-
-    def test_every_row_falls_back_in_one_search(self, monkeypatch):
-        # two far clusters: the graph rows of the first never reach the second
-        pts = np.vstack([cloud(40, 35), cloud(40, 36) + 10.0])
-        graph = knn(pts, pts, 8)
-        calls = []
-
-        def spy(query, reference, k, exclude_self=None):
-            calls.append(query.shape[0])
-            return knn(query, reference, k, exclude_self)
-
-        monkeypatch.setattr(G, "knn", spy)
-        query_idx, ref_idx = np.arange(40), np.arange(40, 80)
-        np.testing.assert_array_equal(
-            knn_from_graph(pts, graph, query_idx, ref_idx, 3).neighbors,
-            knn(pts[query_idx], pts[ref_idx], 3, exclude_self=False).neighbors,
-        )
-        assert calls == [40]
-        calls.clear()
-        knn_from_graph(pts, graph, np.arange(0, 80, 2), np.arange(80), 8)  # pool1-like
-        assert calls == []  # every row decided: no search
-
-    def test_repeated_references_are_searched(self):
-        # fps repeats points once a cloud's distinct ones run out
-        pts = np.round(cloud(40, 38))
-        kept = fps(pts, 30)
-        assert np.unique(kept).size < kept.size
-        assert_reads_as_searched(pts, 8, np.arange(40), kept, 3)
-        assert_reads_as_searched(pts, 8, kept, np.arange(40), 8)
-
-    def test_k_beyond_the_references(self):
-        pts = cloud(10, 37)
-        graph = knn(pts, pts, 4)
-        with pytest.raises(ValueError, match="exceeds"):
-            knn_from_graph(pts, graph, np.arange(10), np.arange(3), 4)
-
-
 class TestPairwiseSqDists:
     @pytest.mark.parametrize("seed", range(3))
     def test_bit_identical_to_difference_formula(self, seed):
@@ -451,15 +335,16 @@ class TestNormalizeCloud:
             normalize_cloud(np.ones((1, 3)))
 
 
-@pytest.mark.parametrize("kernel", ["knn", "fps", "pool1"])
+@pytest.mark.parametrize("kernel", ["knn", "fps", "interp"])
 def test_kernel_speed_at_2048_points(benchmark, kernel):
     """Micro-benchmark of one kernel call at the paper's resolution; records
-    time only.  ``pool1`` reads a stage's pool1 table off its self graph."""
+    time only.  ``interp`` is an interpolation's 3-NN search of 1024 points
+    against a 1024-point fps subset."""
     pts = cloud(2048, 24)
-    graph, kept, every = knn(pts, pts, 16), fps(pts, 1024), np.arange(2048)
+    support = pts[fps(pts, 1024)]
     call = {
         "knn": lambda: knn(pts, pts, 16),
         "fps": lambda: fps(pts, 1024),
-        "pool1": lambda: knn_from_graph(pts, graph, kept, every, 16),
+        "interp": lambda: knn(pts[1024:], support, 3, exclude_self=False),
     }[kernel]
     benchmark.pedantic(call, rounds=3, iterations=1)

@@ -490,6 +490,54 @@ class TestGraphPool:
         np.testing.assert_array_equal(derived[0], searched[0])
         np.testing.assert_array_equal(derived[2].data, searched[2].data)
 
+    def pool1_table(self, monkeypatch, pts, k):
+        """The neighbour table ``graph_pool`` convolves over, given the
+        cloud's self graph, and the kept indices."""
+        tables = []
+        conv = L._conv_over_edges
+
+        def spy(*args):
+            tables.append(args[5])
+            return conv(*args)
+
+        monkeypatch.setattr(L, "_conv_over_edges", spy)
+        n = pts.shape[0]
+        pb = ParamBuilder(Rng(n))
+        L.CONVS["edge"](pb, "p", 2, 3)
+        idx, _, _ = L.graph_pool(
+            Tensor(pts), Tensor(feats(n, 2, n)), n // 2, k, pb.entries, "p", 3, "edge",
+            self_graph(pts, k),
+        )
+        return tables[0], idx
+
+    @pytest.mark.parametrize("n, k", [(40, 1), (40, 8), (300, 16), (17, 16), (9, 16), (2, 16)])
+    def test_pool1_table_is_the_searched_one(self, monkeypatch, n, k):
+        pts = cloud(n, 60 + n)
+        table, idx = self.pool1_table(monkeypatch, pts, k)
+        searched = knn(pts[idx], pts, min(k, n), exclude_self=False).neighbors
+        np.testing.assert_array_equal(table, searched)
+
+    @pytest.mark.parametrize("distinct", [120, 100])
+    def test_pool1_table_is_the_searched_one_with_duplicates(self, monkeypatch, distinct):
+        # fps keeps the lowest-index copy of coincident points, whose graph
+        # row lists the other copies first; with 100 distinct points fps
+        # repeats points to keep 150
+        pts = cloud(300, 62)
+        pts[distinct:] = pts[np.arange(300 - distinct) % distinct]
+        pts[280:] = pts[7]  # one point 23 times over, more than k
+        table, idx = self.pool1_table(monkeypatch, pts, 8)
+        assert 7 in idx
+        searched = knn(pts[idx], pts, 8, exclude_self=False).neighbors
+        np.testing.assert_array_equal(table, searched)
+
+    @pytest.mark.parametrize("graph_k, graph_n", [(3, 32), (8, 20), (8, 40)])
+    def test_graph_too_narrow_or_small_rejected(self, graph_k, graph_n):
+        pts, fs, params = self.make(32, 2, 3, 17)
+        other = cloud(graph_n, 18)
+        graph = knn(other, other, graph_k)
+        with pytest.raises(ValueError, match="graph_pool: graph"):
+            L.graph_pool(Tensor(pts), Tensor(fs), 16, 8, params, "p", 3, "adapt", graph)
+
     def test_pool_too_large(self):
         pts, fs, params = self.make(5, 2, 3, 16)
         with pytest.raises(ValueError):

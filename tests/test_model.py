@@ -262,9 +262,9 @@ class TestScmForward:
         monkeypatch.setattr(M, "knn", spy)
         monkeypatch.setattr(L, "knn", spy)
         spcnet_forward(Tensor(cloud(TINY.partial_count, 21)), init_params(TINY, 12), TINY)
-        # per stage: the self graph and pool2's search; pool1 and both
-        # interpolations read the self graph
-        assert len(calls) == 2 * TINY.scm_count == 6
+        # per stage: the self graph, pool2's search and both interpolations';
+        # pool1 reads the self graph
+        assert len(calls) == 4 * TINY.scm_count == 12
         assert len(set(calls)) == len(calls)
 
     def test_no_search_over_a_joined_cloud_but_its_self_graph(self, monkeypatch):
@@ -299,17 +299,35 @@ class TestScmForward:
             np.testing.assert_array_equal(neighbors, searched.neighbors)
 
     @pytest.mark.parametrize("kind", ["adapt", "edge"])
+    def test_interpolations_query_only_the_predicted_rows(self, monkeypatch, kind):
+        cfg = replace(TINY, conv_kind=kind)
+        queries = []
+
+        def spy(query_coords, support_coords, support_feats, neighbors):
+            queries.append(query_coords.data)
+            return interpolate_up(query_coords, support_coords, support_feats, neighbors)
+
+        interpolate_up = L.interpolate_up
+        monkeypatch.setattr(L, "interpolate_up", spy)
+        out = spcnet_forward(Tensor(cloud(cfg.partial_count, 25)), init_params(cfg, 16), cfg)
+        assert len(queries) == 2 * cfg.scm_count
+        # stage i refines stage i's prediction: those rows alone are queried
+        for i, stage in enumerate(out.stages[:-1]):
+            np.testing.assert_array_equal(queries[2 * i], stage.data)
+            np.testing.assert_array_equal(queries[2 * i + 1], stage.data)
+
+    @pytest.mark.parametrize("kind", ["adapt", "edge"])
     def test_tables_read_off_the_graph_change_no_bit(self, monkeypatch, kind):
         cfg = replace(TINY, conv_kind=kind)
         params = init_params(cfg, 14)
         partial = Tensor(np.round(cloud(cfg.partial_count, 23) * 2) / 2)  # ties, duplicates
+        graph_pool = L.graph_pool
 
-        def searched(cloud, graph, query_idx, ref_idx, k):
-            return knn(cloud[query_idx], cloud[ref_idx], k, exclude_self=False)
+        def searched(coords, features, pool_n, k, params, prefix, out_width, kind, graph=None):
+            return graph_pool(coords, features, pool_n, k, params, prefix, out_width, kind)
 
         derived = spcnet_forward(partial, params, cfg).stages
-        for module in (L, M):
-            monkeypatch.setattr(module, "knn_from_graph", searched)
+        monkeypatch.setattr(L, "graph_pool", searched)
         for a, b in zip(derived, spcnet_forward(partial, params, cfg).stages):
             np.testing.assert_array_equal(a.data, b.data)
 
