@@ -175,6 +175,14 @@ def _conv_over_edges(
     w_c, w_r = factored_weights()
     proj_c, proj_r = project(fc, w_c), project(fr, w_r)
     hid_c, hid_r = generator_inputs()
+
+    def generated_response(z, rows, nbrs):
+        pre = hid_r[nbrs]
+        pre += hid_c[rows, None]
+        return (z @ _hidden_units(pre)[..., None])[..., 0]
+
+    # with no generator units the one unit is the constant 1, and z·1 = z
+    response = generated_response if units > 1 else (lambda z, rows, nbrs: z[..., 0])
     arg = np.empty((q, m_out), dtype=np.intp)
     best = np.empty((q, m_out))
     blocks = row_blocks(q, 8 * k * m_out * units)
@@ -184,9 +192,7 @@ def _conv_over_edges(
         # "clip" skips take's buffered bounds check; the indices were checked
         z = np.take(proj_r, nbrs, axis=0, out=z_buf[: len(nbrs)], mode="clip")
         z += proj_c[rows, None]
-        pre = hid_r[nbrs]
-        pre += hid_c[rows, None]
-        h = (z @ _hidden_units(pre)[..., None])[..., 0]
+        h = response(z, rows, nbrs)
         arg[rows] = h.argmax(axis=1)
         best[rows] = np.take_along_axis(h, arg[rows, None, :], axis=1)[:, 0, :]
     out_data = best * _leaky_factor(best)

@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spcnet import data, geometry
 from spcnet.geometry import (
+    _cells,
+    _certified_bound,
     _columns,
+    _grid,
     _sq_dists,
     fps,
     knn,
@@ -51,18 +55,35 @@ def difference_sq_dists(query, reference):
     return np.sum(diff * diff, axis=-1)
 
 
-def knn_reference(query, reference, k, exclude_self):
+def knn_reference(query, reference, k, exclude_self, first=0):
     """Brute-force (distance, index) ranking; with ``exclude_self`` row i
-    skips column i."""
+    skips column ``first + i``."""
     d2 = difference_sq_dists(query, reference)
     columns = np.arange(reference.shape[0])
     out = []
     for i, row in enumerate(d2):
         ranked = np.lexsort((columns, row))
         if exclude_self:
-            ranked = ranked[ranked != i]
+            ranked = ranked[ranked != first + i]
         out.append(ranked[:k])
     return np.array(out, dtype=np.intp).reshape(query.shape[0], k)
+
+
+def reference_table(query, reference, k, exclude_self):
+    """``knn_reference`` over blocks of 256 query rows, so large clouds
+    need no [q, r, 3] array."""
+    return np.concatenate([
+        knn_reference(query[i:i + 256], reference, k, exclude_self, first=i)
+        for i in range(0, query.shape[0], 256)
+    ]).reshape(query.shape[0], k)
+
+
+def nearest_reference(query, reference):
+    """``argmin`` of the difference formula over blocks of 256 query rows."""
+    return np.concatenate([
+        difference_sq_dists(query[i:i + 256], reference).argmin(axis=1)
+        for i in range(0, query.shape[0], 256)
+    ])
 
 
 class TestFps:
@@ -181,6 +202,12 @@ class TestKnn:
         with pytest.raises(ValueError):
             knn(pts, pts, 4)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_names_the_range(self, k):
+        pts = cloud(4, 7)
+        with pytest.raises(ValueError, match=rf"knn: k={k} outside \[1, 3\]"):
+            knn(pts, pts, k)
+
     # 1100 rows against 1100 take five query blocks of about 2 MB of
     # distances, 3000 against 200 three, 200 against 3000 three; the clouds
     # share their first rows, so row i's own point is column i
@@ -264,6 +291,240 @@ class TestNearestIndex:
         np.testing.assert_array_equal(nearest_index(query, reference), d2.argmin(axis=1))
 
 
+def with_fallback(call):
+    """(call's result, the query rows its search sent to the brute kernel)."""
+    sent = []
+    brute = geometry._brute
+
+    def counting(query_cols, ref_cols, pick, skip, rows, out):
+        sent.append(rows)
+        brute(query_cols, ref_cols, pick, skip, rows, out)
+
+    geometry._brute = counting
+    try:
+        result = call()
+    finally:
+        geometry._brute = brute
+    return result, np.concatenate(sent)
+
+
+def check_knn(query, reference, k, exclude_self=False):
+    """Assert knn's table equals the reference ranking; returns the rows
+    sent to the brute kernel."""
+    graph, sent = with_fallback(lambda: knn(query, reference, k, exclude_self=exclude_self))
+    np.testing.assert_array_equal(graph.neighbors, reference_table(query, reference, k, exclude_self))
+    return sent
+
+
+def check_nearest(query, reference):
+    """Assert nearest_index equals argmin; returns the rows sent to the
+    brute kernel."""
+    nearest, sent = with_fallback(lambda: nearest_index(query, reference))
+    np.testing.assert_array_equal(nearest, nearest_reference(query, reference))
+    return sent
+
+
+class TestCellGrid:
+    """Exactness of the pruned search where it runs.  Each case also counts
+    the rows sent to the brute kernel: where the grid can decide rows it
+    must, so the case cannot pass on the brute kernel alone, and where no
+    block can settle a row every row must go there."""
+
+    @pytest.mark.parametrize("kind", data.SHAPE_KINDS)
+    def test_generated_shapes(self, kind):
+        pts = data.generate_shapes([kind], 1, 2048, 7).shapes[0][1]
+        subset = pts[fps(pts, 512)]
+        cases = [
+            check_knn(pts, pts, 16, exclude_self=True),
+            check_knn(pts, subset, 3),
+            check_knn(pts, subset, 1),
+            check_knn(subset, pts, 1),
+            check_nearest(pts, subset),
+            check_nearest(subset, pts),
+        ]
+        for sent, rows in zip(cases, [2048, 2048, 2048, 512, 2048, 512]):
+            assert sent.size < rows // 10
+
+    def test_replica_clusters(self):
+        # 16 copies of each seed within 1e-4, like a fold's output
+        seeds = data.generate_shapes(["sphere"], 1, 128, 8).shapes[0][1]
+        pts = np.repeat(seeds, 16, axis=0)
+        pts += np.random.default_rng(8).uniform(-1e-4, 1e-4, pts.shape)
+        assert check_knn(pts, pts, 16, exclude_self=True).size < 2048
+        assert check_knn(seeds[::2], pts, 3).size < 64
+        assert check_nearest(seeds, pts).size < 128
+        assert check_nearest(pts[::-1], pts).size < 2048
+
+    def test_rounded_lattice_ties_across_cell_faces(self):
+        # on a lattice of step 1/4 most rows tie at the k-th distance, and
+        # the tied points of a row lie in more than one cell
+        pts = np.round(cloud(2048, 40) * 4.0) / 4.0
+        d2 = difference_sq_dists(pts[:256], pts)
+        d2[np.arange(256), np.arange(256)] = np.inf
+        tied = d2 == np.sort(d2, axis=1)[:, 11:12]
+        cols = _columns(pts)
+        lo, side, dims, _ = _grid(cols, 12)
+        cell = np.ravel_multi_index(_cells(cols, lo, side, dims), dims)
+        spread = [np.unique(cell[row]).size > 1 for row in tied]
+        assert np.mean(tied.sum(axis=1) > 1) > 0.5 and np.mean(spread) > 0.5
+        assert check_knn(pts, pts, 12, exclude_self=True).size < 2048
+        half_steps = np.round(cloud(1024, 41) * 8.0) / 8.0
+        assert check_nearest(half_steps, pts).size < 1024
+
+    def test_exact_duplicates(self):
+        base = cloud(1024, 42)
+        pts = np.concatenate([base, base[np.random.default_rng(42).permutation(1024)]])
+        assert check_knn(pts, pts, 8, exclude_self=True).size < 2048
+        assert check_nearest(pts, pts).size < 2048
+
+    def test_queries_outside_the_reference_box(self):
+        reference = cloud(2048, 43)
+        # pushed 5 % past the faces, and far out
+        query = np.concatenate([reference[:1024] * 1.05, reference[1024:1100] * 20.0])
+        outside = ((query < reference.min(axis=0)) | (query > reference.max(axis=0))).any(axis=1)
+        for sent in (check_knn(query, reference, 8), check_nearest(query, reference)):
+            assert np.isin(np.flatnonzero(outside), sent, invert=True).any()
+
+    def test_queries_whose_blocks_are_empty(self):
+        # beyond the empty corner of a sphere's box every query's block is
+        # empty, so the brute kernel answers all rows; with exclude_self
+        # their own columns are those of other points
+        sphere = data.generate_shapes(["sphere"], 1, 2048, 3).shapes[0][1]
+        far = np.random.default_rng(3).uniform(9.0, 10.0, (512, 3))
+        assert check_knn(far, sphere, 3, exclude_self=True).size == 512
+        assert check_nearest(far, sphere).size == 512
+
+    def test_certificate_gap_counts_only_faces_with_cells_beyond(self):
+        # a 5×5×5 grid of unit cells from the origin: a block's face is a
+        # border when no cell lies beyond it (block cells c - 1 <= 0 below,
+        # c + 1 >= 4 above); a query outside the grid is in its border cell
+        lo, dims = np.zeros(3), np.array([5, 5, 5])
+        query = np.array([
+            [2.1, 2.5, 2.5],  # lower x face 1.1 away
+            [2.5, 2.5, 2.9],  # upper z face 1.1 away
+            [0.5, 0.5, 0.5],  # only the upper faces, 1.5 away
+            [1.2, 1.5, 1.5],  # cell 1: the lower faces are borders
+            [3.8, 3.5, 3.5],  # cell 3: the upper faces are borders
+            [-3.0, 2.5, 2.5],  # outside: upper x face 5 away, y and z 1.5
+            [9.0, 4.5, 4.5],  # outside: lower x face 6 away, y and z 1.5
+        ])
+        cols = _columns(query)
+        bound = _certified_bound(cols, _cells(cols, lo, 1.0, dims), lo, 1.0, dims, 1.0)
+        gap = np.array([1.1, 1.1, 1.5, 1.5, 1.5, 1.5, 1.5])
+        # strictly below the squared gap, by a margin for rounding only
+        assert np.all(bound < gap ** 2)
+        np.testing.assert_allclose(bound, gap ** 2, rtol=1e-8)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_queries_between_clusters(self, seed):
+        # tight clusters with empty cells between them: a query's nearest
+        # points often lie beyond its block, next to a border of the grid
+        rng = np.random.default_rng(seed)
+        centres = rng.uniform(-1.0, 1.0, (6, 3))
+        reference = np.repeat(centres, 200, axis=0) + rng.normal(0.0, 0.05, (1200, 3))
+        query = rng.uniform(-1.2, 1.2, (1024, 3))
+        sent = [check_knn(query, reference, k) for k in (1, 4)]
+        sent.append(check_nearest(query, reference))
+        assert all(rows.size < 1024 for rows in sent)
+
+    def test_k_is_n_minus_one(self):
+        # every row needs the whole cloud, so every block would be it: the
+        # grid hands the call to the brute kernel
+        pts = cloud(600, 44)
+        assert check_knn(pts, pts, 599, exclude_self=True).size == 600
+
+    def test_flat_cloud(self):
+        pts = cloud(2048, 45)
+        pts[:, 2] = 0.25
+        assert check_knn(pts, pts, 16, exclude_self=True).size < 2048
+        off_plane = cloud(1024, 46) * [1.0, 1.0, 0.0] + [0.0, 0.0, 0.3]
+        assert check_knn(off_plane, pts, 3).size < 1024
+        assert check_nearest(off_plane, pts).size < 1024
+
+    def test_identical_points(self):
+        # a cloud of one point: every block is the whole cloud
+        same = np.tile([0.3, -0.2, 0.7], (700, 1))
+        assert check_knn(same, same, 5, exclude_self=True).size == 700
+        # the same point 548 times within a spread cloud: its rows tie at
+        # distance 0 and rank by index
+        pts = np.concatenate([cloud(1500, 47), same[:548]])
+        sent = check_knn(pts, pts, 8, exclude_self=True)
+        assert np.isin(np.arange(1500, 2048), sent, invert=True).all()
+        assert check_nearest(pts, pts).size < 2048
+
+    def test_one_point_per_cell(self, monkeypatch):
+        # with one point per cell asked for, a jittered 16³ lattice puts
+        # each point in a cell of its own
+        monkeypatch.setattr(geometry, "_CELL_POINTS_MIN", 1)
+        axis = np.arange(16) / 15.0
+        lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        lattice += np.random.default_rng(48).uniform(-0.002, 0.002, lattice.shape)
+        cols = _columns(lattice)
+        lo, side, dims, _ = _grid(cols, 1)
+        cells = np.ravel_multi_index(_cells(cols, lo, side, dims), dims)
+        assert np.bincount(cells).max() == 1
+        near = lattice[::3] + np.random.default_rng(49).uniform(-0.01, 0.01, (1366, 3))
+        assert check_nearest(near, lattice).size < 1366
+        assert check_knn(near, lattice, 1).size < 1366
+
+    @given(
+        st.integers(0, 2 ** 31 - 1),
+        st.integers(1024, 1400),
+        st.integers(160, 400),
+        st.integers(1, 8),
+        st.booleans(),
+        st.sampled_from([None, 8.0, 64.0]),
+        st.integers(-3, 3),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_matches_references(self, seed, r, q, k, exclude_self, lattice, decade):
+        # the query rows are the reference's first rows, so exclude_self
+        # skips each point itself; coordinates are rounded to a lattice
+        # (ties), scaled and moved off the origin
+        pts = cloud(r, seed)
+        if lattice is not None:
+            pts = np.round(pts * lattice) / lattice
+        pts = pts * 10.0 ** decade + 3.0 * 10.0 ** decade
+        query = pts[:q]
+        assert check_knn(query, pts, k, exclude_self).size < q
+        assert check_nearest(query, pts).size < q
+
+
+class TestNonFinite:
+    """NaN coordinates keep their meaning at sizes where the cell grid would
+    otherwise run: ``nearest_index`` answers as ``argmin`` and ``knn`` as a
+    stable argsort."""
+
+    @pytest.mark.parametrize("q, r", [(5, 7), (2048, 2048)])
+    def test_nan_reference_row_is_every_querys_nearest(self, q, r):
+        # argmin's first NaN: this is why chamfer turns NaN and training
+        # stops loudly rather than matching around the bad point
+        reference = cloud(r, 30)
+        reference[r // 3] = np.nan
+        np.testing.assert_array_equal(
+            nearest_index(cloud(q, 31), reference), np.full(q, r // 3)
+        )
+
+    @pytest.mark.parametrize("q, r", [(5, 7), (2048, 2048)])
+    def test_nan_query_row_gives_zero(self, q, r):
+        query, reference = cloud(q, 32), cloud(r, 33)
+        query[q // 2, 1] = np.nan
+        expected = nearest_reference(query, reference)
+        assert expected[q // 2] == 0
+        np.testing.assert_array_equal(nearest_index(query, reference), expected)
+
+    @pytest.mark.parametrize("q, r, k", [(5, 7, 5), (2048, 2048, 16)])
+    def test_knn_takes_finite_references_first(self, q, r, k):
+        # a stable argsort puts NaN distances last, so with r - 2 >= k
+        # finite references no row names a NaN one
+        query, reference = cloud(q, 34), cloud(r, 35)
+        bad = [1, r - 2]
+        reference[bad, 0] = np.nan
+        table = knn(query, reference, k).neighbors
+        assert not np.isin(table, bad).any()
+        np.testing.assert_array_equal(table, reference_table(query, reference, k, False))
+
+
 class TestViewpointSplit:
     def test_half_split_counts(self):
         pts = cloud(2048, 12)
@@ -335,16 +596,19 @@ class TestNormalizeCloud:
             normalize_cloud(np.ones((1, 3)))
 
 
-@pytest.mark.parametrize("kernel", ["knn", "fps", "interp"])
+@pytest.mark.parametrize("kernel", ["knn", "fps", "interp", "nearest"])
 def test_kernel_speed_at_2048_points(benchmark, kernel):
     """Micro-benchmark of one kernel call at the paper's resolution; records
     time only.  ``interp`` is an interpolation's 3-NN search of 1024 points
-    against a 1024-point fps subset."""
+    against a 1024-point fps subset; ``nearest`` is one of Chamfer's
+    nearest-point searches at ``evaluate``, 2048 points against 2048."""
     pts = cloud(2048, 24)
     support = pts[fps(pts, 1024)]
+    other = cloud(2048, 25)
     call = {
         "knn": lambda: knn(pts, pts, 16),
         "fps": lambda: fps(pts, 1024),
         "interp": lambda: knn(pts[1024:], support, 3, exclude_self=False),
+        "nearest": lambda: nearest_index(pts, other),
     }[kernel]
     benchmark.pedantic(call, rounds=3, iterations=1)
