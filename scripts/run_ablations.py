@@ -11,7 +11,7 @@ import time
 from dataclasses import fields
 
 from spcnet.cli import VARIANTS
-from spcnet.data import generate_shapes
+from spcnet.data import SHAPE_KINDS, generate_shapes
 from spcnet.model import ModelConfig
 from spcnet.training import TrainConfig, evaluate, train
 
@@ -29,10 +29,7 @@ def main():
     )
     args = parser.parse_args()
 
-    dataset = generate_shapes(
-        ["sphere", "cube", "cylinder", "cone", "torus", "plane"],
-        args.shapes, args.points, args.seed,
-    )
+    dataset = generate_shapes(SHAPE_KINDS, args.shapes, args.points, args.seed)
     base = {f.name: f.default for f in fields(ModelConfig)}
     base.update(points_per_shape=args.points, width_scale=0.125, knn_k=8)
     train_config = TrainConfig(

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from spcnet.data import generate_shapes
+from spcnet.data import SHAPE_KINDS, generate_shapes
 from spcnet.geometry import viewpoint_split
 from spcnet.model import LOSS_MODES, ModelConfig, spcnet_forward
 from spcnet.tensor import Tensor, no_grad
@@ -30,10 +30,7 @@ def main():
     parser.add_argument("--trace", default=None, help="write the loss trace here")
     args = parser.parse_args()
 
-    dataset = generate_shapes(
-        ["sphere", "cube", "cylinder", "cone", "torus", "plane"],
-        args.shapes, args.points, args.seed,
-    )
+    dataset = generate_shapes(SHAPE_KINDS, args.shapes, args.points, args.seed)
     config = ModelConfig(
         points_per_shape=args.points, width_scale=args.width_scale, knn_k=8,
         loss_mode=args.loss_mode,

@@ -4,9 +4,11 @@ Layout: magic, u32 version, length-prefixed UTF-8 config block of key=value
 lines, u32 tensor count, then per tensor a length-prefixed name, u32 rank,
 u64 extents, and float32 values.  Parameters are stored in 32 bits (adequate
 for inference at half the file size); optimizer moments ride along as
-reserved "adam." tensors when present.  A save writes a temporary file
-next to the target and renames it over the target, so a failed save leaves
-any earlier file intact.
+reserved "adam." tensors when present.  Every stored value is finite, and
+no config key appears twice: a save refuses a tensor that float32 cannot
+hold finitely, a load refuses a non-finite value or a repeated key.  A save
+writes a temporary file next to the target and renames it over the target,
+so a failed save leaves any earlier file intact.
 """
 from __future__ import annotations
 
@@ -80,6 +82,8 @@ def _parse_config_block(blob: bytes, path) -> tuple[ModelConfig, dict, int | Non
         if not line:
             continue
         key, _, value = line.partition("=")
+        if key in entries:
+            raise CheckpointError(f"{path}: config key {key!r} appears twice")
         entries[key] = value
     if "has_adam" not in entries:
         raise CheckpointError(f"{path}: config key 'has_adam' is missing")
@@ -135,7 +139,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
                 fh.write(struct.pack("<I", data.ndim))
                 for extent in data.shape:
                     fh.write(struct.pack("<Q", extent))
-                fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+                with np.errstate(over="ignore"):
+                    values = np.ascontiguousarray(data, dtype="<f4")
+                if not np.isfinite(values).all():
+                    raise CheckpointError(
+                        f"{path}: tensor {name!r} holds a value that is not finite in float32"
+                    )
+                fh.write(values.tobytes())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -186,6 +196,8 @@ def load_checkpoint(path) -> Checkpoint:
         shape = tuple(r.u64("extent") for _ in range(rank))
         size = math.prod(shape)  # Python ints: a uint64 product would wrap
         values = np.frombuffer(r.take(4 * size, f"values of {name}"), dtype="<f4")
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
         raw[name] = values.astype(np.float64).reshape(shape)
     if r.offset != len(blob):
         raise CheckpointError(

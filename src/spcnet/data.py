@@ -31,8 +31,7 @@ SHAPE_KINDS = ("sphere", "cube", "cylinder", "cone", "torus", "plane")
 def write_xyz(cloud: np.ndarray, path) -> None:
     cloud = np.asarray(cloud, dtype=np.float64)
     with open(path, "w", newline="\n") as fh:
-        for x, y, z in cloud:
-            fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
+        fh.write(("%.9g %.9g %.9g\n" * len(cloud)) % tuple(cloud.ravel().tolist()))
 
 
 def read_text(path) -> str:
@@ -73,24 +72,24 @@ def read_xyz(path, extra_columns: bool = False) -> np.ndarray:
 # procedural surface samplers
 # ---------------------------------------------------------------------------
 
-def _unit_direction(rng: Rng) -> np.ndarray:
-    z = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    r = math.sqrt(max(0.0, 1.0 - z * z))
-    return np.array([r * math.cos(phi), r * math.sin(phi), z])
+def _span(u: np.ndarray, lo, hi) -> np.ndarray:
+    """Unit draws mapped to [lo, hi), rounding as ``Rng.uniform`` does.  Each
+    sampler draws its per-shape scalars first, then one [rows, d] array of
+    unit draws holding, row by row, the d values each point takes in turn."""
+    return lo + (hi - lo) * u
+
+
+def _ring(r: np.ndarray, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
 
 
 def _sphere(rng: Rng, n: int) -> np.ndarray:
     # Antipodal pairs keep the sample centroid at the origin to rounding.
-    pts = np.empty((n, 3))
+    u = rng.uniform_array((n - n // 2, 2))
+    z = _span(u[:, 0], -1.0, 1.0)
+    d = _ring(np.sqrt(np.maximum(0.0, 1.0 - z * z)), _span(u[:, 1], 0.0, 2.0 * math.pi), z)
     half = n // 2
-    for i in range(half):
-        d = _unit_direction(rng)
-        pts[i] = d
-        pts[half + i] = -d
-    if n % 2:
-        pts[-1] = _unit_direction(rng)
-    return pts
+    return np.concatenate([d[:half], -d[:half], d[half:]])
 
 
 def _cube(rng: Rng, n: int) -> np.ndarray:
@@ -98,15 +97,11 @@ def _cube(rng: Rng, n: int) -> np.ndarray:
     areas = np.array([ext[1] * ext[2], ext[0] * ext[2], ext[0] * ext[1]])
     areas = np.repeat(areas, 2)  # +/- face per axis
     cumulative = np.cumsum(areas / areas.sum())
-    pts = np.empty((n, 3))
-    for i in range(n):
-        u = rng.uniform()
-        face = int(np.searchsorted(cumulative, u, side="right"))
-        face = min(face, 5)
-        axis, sign = divmod(face, 2)
-        p = np.array([rng.uniform(-ext[a], ext[a]) for a in range(3)])
-        p[axis] = ext[axis] if sign == 0 else -ext[axis]
-        pts[i] = p
+    u = rng.uniform_array((n, 4))
+    face = np.minimum(np.searchsorted(cumulative, u[:, 0], side="right"), 5)
+    axis, sign = np.divmod(face, 2)
+    pts = _span(u[:, 1:], -ext, ext)
+    pts[np.arange(n), axis] = np.where(sign == 0, ext[axis], -ext[axis])
     return pts / ext.max()
 
 
@@ -115,19 +110,13 @@ def _cylinder(rng: Rng, n: int) -> np.ndarray:
     half_h = rng.uniform(0.5, 1.0)
     lateral = 2.0 * math.pi * radius * 2.0 * half_h
     cap = math.pi * radius * radius
-    total = lateral + 2.0 * cap
-    pts = np.empty((n, 3))
-    for i in range(n):
-        u = rng.uniform(0.0, total)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        if u < lateral:
-            z = rng.uniform(-half_h, half_h)
-            pts[i] = (radius * math.cos(theta), radius * math.sin(theta), z)
-        else:
-            r = radius * math.sqrt(rng.uniform())
-            z = half_h if u < lateral + cap else -half_h
-            pts[i] = (r * math.cos(theta), r * math.sin(theta), z)
-    return pts / max(radius, half_h)
+    u = rng.uniform_array((n, 3))
+    side = _span(u[:, 0], 0.0, lateral + 2.0 * cap)
+    on_wall = side < lateral
+    r = np.where(on_wall, radius, radius * np.sqrt(u[:, 2]))
+    z = np.where(on_wall, _span(u[:, 2], -half_h, half_h),
+                 np.where(side < lateral + cap, half_h, -half_h))
+    return _ring(r, _span(u[:, 1], 0.0, 2.0 * math.pi), z) / max(radius, half_h)
 
 
 def _cone(rng: Rng, n: int) -> np.ndarray:
@@ -136,18 +125,11 @@ def _cone(rng: Rng, n: int) -> np.ndarray:
     slant = math.sqrt(radius * radius + 4.0 * half_h * half_h)
     lateral = math.pi * radius * slant
     base = math.pi * radius * radius
-    pts = np.empty((n, 3))
-    for i in range(n):
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        if rng.uniform(0.0, lateral + base) < lateral:
-            t = math.sqrt(rng.uniform())  # area-uniform along the slant
-            r = radius * t
-            z = half_h - 2.0 * half_h * t
-        else:
-            r = radius * math.sqrt(rng.uniform())
-            z = -half_h
-        pts[i] = (r * math.cos(theta), r * math.sin(theta), z)
-    return pts / max(radius, half_h)
+    u = rng.uniform_array((n, 3))
+    on_slant = _span(u[:, 1], 0.0, lateral + base) < lateral
+    t = np.sqrt(u[:, 2])  # area-uniform along the slant, and over the base
+    z = np.where(on_slant, half_h - 2.0 * half_h * t, -half_h)
+    return _ring(radius * t, _span(u[:, 0], 0.0, 2.0 * math.pi), z) / max(radius, half_h)
 
 
 def _torus(rng: Rng, n: int) -> np.ndarray:
@@ -169,10 +151,8 @@ def _torus(rng: Rng, n: int) -> np.ndarray:
 def _plane(rng: Rng, n: int) -> np.ndarray:
     a = rng.uniform(0.5, 1.0)
     b = rng.uniform(0.5, 1.0)
-    pts = np.empty((n, 3))
-    for i in range(n):
-        pts[i] = (rng.uniform(-a, a), rng.uniform(-b, b), 0.0)
-    return pts / max(a, b)
+    u = rng.uniform_array((n, 2))
+    return np.stack([_span(u[:, 0], -a, a), _span(u[:, 1], -b, b), np.zeros(n)], axis=1) / max(a, b)
 
 
 _GENERATORS = {
@@ -275,8 +255,7 @@ def resample_to(points: np.ndarray, target: int, rng: Rng) -> np.ndarray:
         idx = sorted(rng.sample_indices(n, target))
         return points[idx]
     order = fps(points, n)
-    extra = [order[i % n] for i in range(target - n)]
-    return points[np.concatenate([np.arange(n), np.asarray(extra, dtype=np.intp)])]
+    return points[np.concatenate([np.arange(n), order[np.arange(target - n) % n]])]
 
 
 def ingest_category_tree(root, points_per_shape: int = 2048, seed: int = 0) -> Dataset:

@@ -293,3 +293,75 @@ class TestConfigErrors:
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
         assert str(info.value) == f"{path}: {message}"
+
+
+def poke_value(path, name: str, value: float) -> None:
+    """Overwrite the first stored float32 of tensor ``name`` in place."""
+    blob = bytearray(path.read_bytes())
+    encoded = name.encode()
+    at = blob.index(struct.pack("<I", len(encoded)) + encoded) + 4 + len(encoded)
+    rank = struct.unpack("<I", blob[at:at + 4])[0]
+    at += 4 + 8 * rank
+    blob[at:at + 4] = struct.pack("<f", value)
+    path.write_bytes(bytes(blob))
+
+
+class TestNonFiniteValues:
+    """Every stored value is finite: a save refuses what float32 cannot hold
+    finitely, a load refuses a stored inf or nan, naming file and tensor."""
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["param", "adam.v"])
+    def test_save_refuses_and_leaves_existing_file(self, tmp_path, value, where):
+        path = tmp_path / "m.spcn"
+        save_checkpoint(make_checkpoint(16), path)
+        before = path.read_bytes()
+        ckpt = make_checkpoint(17, with_adam=True)
+        name = "scm1.agg.w"
+        target = ckpt.params[name].data if where == "param" else ckpt.adam.v[name]
+        target[0, 0] = value
+        stored = name if where == "param" else f"adam.v.{name}"
+        with pytest.raises(CheckpointError) as info:
+            save_checkpoint(ckpt, path)
+        assert str(info.value) == (
+            f"{path}: tensor {stored!r} holds a value that is not finite in float32"
+        )
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.spcn"]
+
+    def test_largest_float32_is_saved(self, tmp_path):
+        ckpt = make_checkpoint(18)
+        big = float(np.finfo(np.float32).max)
+        ckpt.params["scm1.agg.w"].data[0, 0] = -big
+        path = tmp_path / "m.spcn"
+        save_checkpoint(ckpt, path)
+        assert load_checkpoint(path).params["scm1.agg.w"].data[0, 0] == -big
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("prefix", ["", "adam.m.", "adam.v."])
+    def test_load_refuses_stored_non_finite_value(self, tmp_path, value, prefix):
+        path = tmp_path / "m.spcn"
+        save_checkpoint(make_checkpoint(19, with_adam=True), path)
+        name = f"{prefix}scm1.agg.w"
+        poke_value(path, name, value)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: tensor {name!r} holds a non-finite value"
+
+
+class TestRepeatedConfigKey:
+    # each stored line followed by a second value for the same key
+    @pytest.mark.parametrize("key, stored, repeat", [
+        ("knn_k", "4", "7"),
+        ("meta.epochs", "3", "9"),
+        ("missing_ratio", "0.5", "0.25"),
+        ("has_adam", "False", "False"),
+    ])
+    def test_repeat_names_file_and_key(self, tmp_path, key, stored, repeat):
+        path = tmp_path / "m.spcn"
+        save_checkpoint(make_checkpoint(20), path)
+        line = f"{key}={stored}\n".encode()
+        rewrite_config_block(path, line, line + f"{key}={repeat}\n".encode())
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: config key {key!r} appears twice"

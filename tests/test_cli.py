@@ -436,6 +436,26 @@ class TestCheckpointLayout:
         assert err == f"error: {trained}: config key 'knn_k': cannot read 'four' as int\n"
         assert not (tmp_path / "o.xyz").exists()
 
+    @pytest.mark.parametrize("command", ["complete", "eval"])
+    def test_non_finite_value_fails_with_one_line_error(
+        self, command, trained, tmp_path, data_dir, capsys
+    ):
+        blob = bytearray(trained.read_bytes())
+        name = b"scm1.agg.w"
+        at = blob.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+        at += 4 + 8 * struct.unpack("<I", blob[at:at + 4])[0]
+        blob[at:at + 4] = struct.pack("<f", np.inf)
+        trained.write_bytes(bytes(blob))
+        rest = {
+            "complete": ["--in", str(data_dir / "shape_0000.xyz"), "--out", str(tmp_path / "o.xyz")],
+            "eval": ["--data", str(data_dir), "--report", str(tmp_path / "r.csv")],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--ckpt", str(trained), *rest]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {trained}: tensor 'scm1.agg.w' holds a non-finite value\n"
+        assert not (tmp_path / "o.xyz").exists() and not (tmp_path / "r.csv").exists()
+
 
 class TestEval:
     def test_csv_header_and_overall_row(self, trained, data_dir, tmp_path):

@@ -1,8 +1,11 @@
 """File formats and dataset generation/ingestion."""
+import hashlib
+
 import numpy as np
 import pytest
 
 from spcnet.data import (
+    SHAPE_KINDS,
     Dataset,
     generate_dataset,
     generate_shapes,
@@ -69,6 +72,57 @@ class TestXyz:
         path.write_text("1 2\n")
         with pytest.raises(ValueError, match=r":1:"):
             read_xyz(path, extra_columns=True)
+
+
+    def test_write_matches_per_row_text(self, tmp_path):
+        # signed zeros, a subnormal and a huge value print as the f-string
+        # per row printed them; an empty cloud writes an empty file
+        pts = np.array([[0.0, -0.0, 5e-324], [1e300, -1e300, -2.5e-310], [1 / 3, -2.0, 1e-5]])
+        for rows in (pts, np.empty((0, 3))):
+            path = tmp_path / "c.xyz"
+            write_xyz(rows, path)
+            assert path.read_bytes() == "".join(
+                f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in rows
+            ).encode()
+
+
+class TestFrozenBits:
+    # sha256 of the generated coordinates (float64 bytes, signs included)
+    # and of generated dataset files, frozen from samplers that drew one
+    # value per call: at 2048 and 2049 points every array sampler takes
+    # Rng.uniform_array's lane path, at 2 and 3 points its short loop.
+    SIZES = (2, 3, 255, 256, 2048, 2049)
+    SEEDS = (0, 9)
+    SHAPE_DIGESTS = {
+        "sphere": "f3cfaedcff0060abe2e6b57cfe9f55b0348fa2a1f6ef22db5d7a953b075d2ec0",
+        "cube": "70162e29f67b1170cc4a78296b8299d64a52ec6453dc7376b84e9ede8933fc89",
+        "cylinder": "2deb05228e98c8d011f7595dac7303006ff9f2f27402704f81cd1a5ffe6d6c22",
+        "cone": "0f95a8a8f3321514956e4ec8376b0519a0b78c0688bb4f60a4bb315068e09923",
+        "torus": "9fc58c9fb9db7235cb3a542a680e29d51d0a69d17f85b3312996163c14762bc4",
+        "plane": "4c5da807b0eca104fb4120e7b0b350c332484376a314121eee95aec332c6f0de",
+    }
+    FILE_DIGESTS = {
+        (12, 3, 1): "77e4d502670dbb480eb82bb65c1335efb15ef1e21177b1e0a1788896ba689bd6",
+        (6, 2049, 4): "83eb94056707ac9985c2efc6d8bbbf318be2d872d7e0fef3647b6be2c12517db",
+    }
+
+    @pytest.mark.parametrize("kind", SHAPE_KINDS)
+    def test_shape_bits_are_frozen(self, kind):
+        digest = hashlib.sha256()
+        for seed in self.SEEDS:
+            for n in self.SIZES:
+                pts = generate_shapes([kind], 1, n, seed).shapes[0][1]
+                digest.update(np.ascontiguousarray(pts, dtype="<f8").tobytes())
+        assert digest.hexdigest() == self.SHAPE_DIGESTS[kind]
+
+    @pytest.mark.parametrize("count, n, seed", sorted(FILE_DIGESTS))
+    def test_dataset_files_are_frozen(self, tmp_path, count, n, seed):
+        generate_dataset(tmp_path, SHAPE_KINDS, count, n, seed)
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == self.FILE_DIGESTS[count, n, seed]
 
 
 class TestGenerate:
