@@ -77,8 +77,14 @@ def _config_block(ckpt: Checkpoint) -> bytes:
 
 def _parse_config_block(blob: bytes, path) -> tuple[ModelConfig, dict, int | None]:
     """The stored config, meta entries and Adam step (None without Adam state)."""
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(
+            f"{path}: config block is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
     entries = {}
-    for line in blob.decode("utf-8").splitlines():
+    for line in text.splitlines():
         if not line:
             continue
         key, _, value = line.partition("=")
@@ -191,7 +197,11 @@ def load_checkpoint(path) -> Checkpoint:
     raw: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len = r.u32("name length")
-        name = r.take(name_len, "tensor name").decode("utf-8")
+        at = r.offset
+        try:
+            name = r.take(name_len, "tensor name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: tensor name at offset {at} is not UTF-8 text") from None
         rank = r.u32("rank")
         shape = tuple(r.u64("extent") for _ in range(rank))
         size = math.prod(shape)  # Python ints: a uint64 product would wrap

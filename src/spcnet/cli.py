@@ -87,23 +87,11 @@ def _cmd_train(args) -> int:
         values = VARIANTS[args.variant](values)
     config = ModelConfig(**values)
     result = train(dataset, config, train_config)
-    ckpt = Checkpoint(
-        config=result.config, params=result.params, adam=result.adam, meta=result.meta
-    )
-    save_checkpoint(ckpt, args.out)
-    saved = [str(args.out)]
-    if result.reverse_params is not None:
-        rev_path = Path(args.out).with_suffix(".rev.spcn")
-        save_checkpoint(
-            Checkpoint(
-                config=result.reverse_config,
-                params=result.reverse_params,
-                adam=result.reverse_adam,
-                meta=result.meta,
-            ),
-            rev_path,
-        )
-        saved.append(str(rev_path))
+    saved = []
+    paths = (args.out, Path(args.out).with_suffix(".rev.spcn"))
+    for (config, params, adam), path in zip(result.networks(), paths):
+        save_checkpoint(Checkpoint(config=config, params=params, adam=adam, meta=result.meta), path)
+        saved.append(str(path))
     lines = result.trace_lines()
     if args.trace:
         with open(args.trace, "w", newline="\n") as fh:

@@ -358,33 +358,22 @@ def _certified_bound(query_cols, query_cell, lo, side, dims, scale):
     return gap * gap
 
 
-def viewpoint_split_indices(
+def viewpoint_split(
     cloud: np.ndarray, viewpoint, ratio: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Index sets (kept, missing): the round(ratio*n) points nearest the
-    viewpoint become the missing part; both sides keep original order."""
+    """Split a cloud into (P_N, P_M) around a viewpoint at the given ratio:
+    the round(ratio*n) points nearest the viewpoint become the missing part
+    P_M; both parts keep the cloud's order."""
     cloud = np.asarray(cloud, dtype=np.float64)
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"viewpoint_split: ratio {ratio} outside [0, 1]")
-    n = cloud.shape[0]
-    m = int(round(ratio * n))
+    m = int(round(ratio * cloud.shape[0]))
     vp = np.asarray(viewpoint, dtype=np.float64)
     if not np.isfinite(vp).all():
         raise ValueError(f"viewpoint_split: viewpoint {vp.tolist()} is not finite")
     d2 = np.sum((cloud - vp) ** 2, axis=1)
     order = np.argsort(d2, kind="stable")
-    missing = np.sort(order[:m])
-    kept = np.sort(order[m:])
-    return kept.astype(np.intp), missing.astype(np.intp)
-
-
-def viewpoint_split(
-    cloud: np.ndarray, viewpoint, ratio: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split a cloud into (P_N, P_M) around a viewpoint at the given ratio."""
-    kept, missing = viewpoint_split_indices(cloud, viewpoint, ratio)
-    cloud = np.asarray(cloud, dtype=np.float64)
-    return cloud[kept], cloud[missing]
+    return cloud[np.sort(order[m:])], cloud[np.sort(order[:m])]
 
 
 def normalize_cloud(cloud: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Parameter bookkeeping and the Adam update."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +20,9 @@ def zero_grads(params: ParamSet) -> None:
 class AdamState:
     """First/second moment estimates and the step counter."""
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    t: int = 0
+    m: dict
+    v: dict
+    t: int
 
     @classmethod
     def for_params(cls, params: ParamSet) -> "AdamState":
@@ -50,9 +50,6 @@ def adam_step(
     bc2 = 1.0 - beta2 ** state.t
     for name, p in params.items():
         g = p.grad
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
         m *= beta1

@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -211,26 +212,19 @@ class TrainResult:
     reverse_adam: AdamState | None = None
     reverse_config: ModelConfig | None = None
 
+    def networks(self) -> list:
+        """(config, params, adam) of each trained network, forward first."""
+        trained = [(self.config, self.params, self.adam)]
+        if self.reverse_params is not None:
+            trained.append((self.reverse_config, self.reverse_params, self.reverse_adam))
+        return trained
+
     def trace_lines(self) -> list:
-        keys = _trace_keys(self.config.loss_mode)
         lines = []
         for row in self.trace:
-            parts = [str(row["epoch"])]
-            parts += [f"{row[k]:.9g}" for k in keys]
-            parts.append(f"{row['total']:.9g}")
-            lines.append(",".join(parts))
+            epoch, *values = row.values()
+            lines.append(",".join([str(epoch)] + [f"{v:.9g}" for v in values]))
         return lines
-
-
-def _trace_keys(loss_mode: str) -> list:
-    # mode "<n>L" sums the n losses loss1..loss<n>
-    return [f"loss{i}" for i in range(1, int(loss_mode[:-1]) + 1)]
-
-
-def _is_shared_regime(config: ModelConfig) -> bool:
-    # 1L never exercises the reverse direction; a symmetric split shares one
-    # parameter set for both directions.
-    return config.loss_mode == "1L" or config.missing_count == config.partial_count
 
 
 def train(dataset, model_config: ModelConfig, train_config: TrainConfig) -> TrainResult:
@@ -241,9 +235,12 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig) -> Trai
     per-shape losses are averaged over a batch before each Adam step.  Each
     shape back-propagates as soon as it is scored, so a step holds one
     shape's tape at a time.
-    Asymmetric splits under the cycle modes train a second parameter set for
-    the reverse direction jointly.  A non-finite loss stops training with a
-    ValueError naming the (1-based) epoch and the (0-based) shape index.
+    Asymmetric splits under the cycle modes train a second network, seeded
+    ``seed + 1``, for the reverse direction jointly; otherwise one network
+    serves both directions.  Each trace row holds the epoch, the mean of each
+    loss ``cycle_total_loss`` returns, in its order, and the mean total.  A
+    non-finite loss stops training with a ValueError naming the (1-based)
+    epoch and the (0-based) shape index.
     """
     shapes = dataset.shapes
     if not shapes:
@@ -251,61 +248,46 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig) -> Trai
     weights = LossWeights()
     rng = Rng(train_config.seed)
     sampling_rng = rng.spawn()
-    shared = _is_shared_regime(model_config)
 
-    params = init_params(model_config, train_config.seed)
-    adam = AdamState.for_params(params)
-    if shared:
-        rev_config, rev_params, rev_adam = None, None, None
-    else:
-        rev_config = model_config.reversed_ratio()
-        rev_params = init_params(rev_config, train_config.seed + 1)
-        rev_adam = AdamState.for_params(rev_params)
+    configs = [model_config]
+    if model_config.loss_mode != "1L" and model_config.missing_count != model_config.partial_count:
+        configs.append(model_config.reversed_ratio())
+    networks = []  # (config, params, adam), forward first
+    for offset, config in enumerate(configs):
+        params = init_params(config, train_config.seed + offset)
+        networks.append((config, params, AdamState.for_params(params)))
+    forwards = [
+        partial(spcnet_forward, params=params, config=config, rng=sampling_rng)
+        for config, params, _ in networks
+    ]
 
-    def forward_missing(cloud: Tensor) -> StageOutputs:
-        return spcnet_forward(cloud, params, model_config, rng=sampling_rng)
-
-    def forward_partial(cloud: Tensor) -> StageOutputs:
-        if shared:
-            return spcnet_forward(cloud, params, model_config, rng=sampling_rng)
-        return spcnet_forward(cloud, rev_params, rev_config, rng=sampling_rng)
-
-    keys = _trace_keys(model_config.loss_mode)
     trace = []
     for epoch in range(1, train_config.epochs + 1):
         epoch_start = time.perf_counter()
-        epoch_sums = {k: 0.0 for k in keys}
-        epoch_total = 0.0
+        sums = {}
         for start in range(0, len(shapes), train_config.batch_size):
             batch = shapes[start:start + train_config.batch_size]
-            zero_grads(params)
-            if rev_params is not None:
-                zero_grads(rev_params)
+            for _, params, _ in networks:
+                zero_grads(params)
             for index, (_, points) in enumerate(batch, start=start):
                 corner = CUBE_CORNERS[rng.randrange(len(CUBE_CORNERS))]
                 p_n, p_m = viewpoint_split(points, corner, model_config.missing_ratio)
                 loss, components = cycle_total_loss(
-                    forward_missing, forward_partial, p_n, p_m, weights,
-                    model_config.loss_mode,
+                    forwards[0], forwards[-1], p_n, p_m, weights, model_config.loss_mode,
                 )
                 value = loss.item()
                 if not np.isfinite(value):
                     raise ValueError(f"epoch {epoch}, shape {index}: non-finite loss")
                 # one shape's tape at a time: gradients add up in the leaves
                 backward(loss * (1.0 / len(batch)))
-                for k in keys:
-                    epoch_sums[k] += components[k]
-                epoch_total += value
+                for k, v in {**components, "total": value}.items():
+                    sums[k] = sums.get(k, 0.0) + v
             lr = train_config.lr_at(epoch)
-            adam_step(params, adam, lr=lr)
-            if rev_params is not None:
-                adam_step(rev_params, rev_adam, lr=lr)
-        row = {"epoch": epoch}
-        row.update({k: epoch_sums[k] / len(shapes) for k in keys})
-        row["total"] = epoch_total / len(shapes)
-        trace.append(row)
+            for _, params, adam in networks:
+                adam_step(params, adam, lr=lr)
+        trace.append({"epoch": epoch, **{k: s / len(shapes) for k, s in sums.items()}})
         if log.isEnabledFor(logging.INFO):
-            stepped = list(params.values()) + list((rev_params or {}).values())
+            stepped = [p for _, params, _ in networks for p in params.values()]
             grad_norm = np.sqrt(sum(np.vdot(p.grad, p.grad) for p in stepped))
             log.info(
                 "epoch %d: %.3f s, lr %.6g, grad norm %.6g (last step)",
@@ -317,10 +299,12 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig) -> Trai
         "seed": str(train_config.seed),
         "loss_mode": model_config.loss_mode,
     }
+    (config, params, adam), *reverse = networks
+    rev_config, rev_params, rev_adam = reverse[0] if reverse else (None, None, None)
     return TrainResult(
         params=params,
         adam=adam,
-        config=model_config,
+        config=config,
         trace=trace,
         meta=meta,
         reverse_params=rev_params,

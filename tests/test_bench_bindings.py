@@ -1,5 +1,8 @@
 """The traced benchmark run wraps spcnet functions by name and reads some of
-their arguments; a rename in ``src/`` must fail here, not silently there."""
+their arguments; its step clock counts the optimizer calls of a training
+step, and it reads fields off the results.  A rename or reorder in ``src/``
+must fail here, not silently there."""
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -7,6 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from spcnet import training
+from spcnet.data import generate_shapes
+from spcnet.model import ModelConfig
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -18,6 +25,13 @@ READ_ARGS = {
     "tensor.backward": ("loss",),
     "optim.adam_step": ("params",),
     "checkpoint.save_checkpoint": ("path",),
+}
+
+# result type -> the attributes perfbench/workload.py reads off it
+READ_ATTRIBUTES = {
+    "training.TrainResult": ("params", "reverse_params", "reverse_config", "trace", "trace_lines"),
+    "model.StageOutputs": ("counts", "stages", "final"),
+    "training.EvalReport": ("overall", "to_csv"),
 }
 
 
@@ -58,3 +72,51 @@ def test_counted_arguments_are_in_the_signatures(tracer):
     for layer, names in READ_ARGS.items():
         parameters = inspect.signature(resolve(layer)).parameters
         assert all(n in parameters for n in names), (layer, names)
+
+
+@pytest.mark.parametrize("name", sorted(READ_ATTRIBUTES))
+def test_result_attributes_the_benchmark_reads_exist(name):
+    cls = resolve(name)
+    known = {f.name for f in dataclasses.fields(cls)} | set(dir(cls))
+    missing = [attr for attr in READ_ATTRIBUTES[name] if attr not in known]
+    assert not missing
+
+
+@pytest.mark.parametrize("fields, points", [
+    (dict(loss_mode="1L"), 64),  # one network
+    (dict(loss_mode="4L", missing_ratio=0.25), 128),  # forward and reverse
+])
+def test_each_step_zeroes_every_network_before_updating_any(monkeypatch, fields, points):
+    # the benchmark's step clock patches these two module bindings and closes
+    # a step when the updates match the zeroings
+    calls = []
+    zero_grads, adam_step = training.zero_grads, training.adam_step
+
+    def counted_zero_grads(params):
+        calls.append(("zero", id(params)))
+        return zero_grads(params)
+
+    def counted_adam_step(params, *args, **kwargs):
+        calls.append(("update", id(params)))
+        return adam_step(params, *args, **kwargs)
+
+    monkeypatch.setattr(training, "zero_grads", counted_zero_grads)
+    monkeypatch.setattr(training, "adam_step", counted_adam_step)
+    config = ModelConfig(
+        points_per_shape=points, width_scale=0.0625, knn_k=4, down_rate=2,
+        upsample_factors=(2, 2, 1), **fields,
+    )
+    result = training.train(
+        generate_shapes(["sphere", "cube"], 3, points, 0), config,
+        training.TrainConfig(epochs=2, batch_size=2, seed=1),
+    )
+    networks = [id(result.params)]
+    if result.reverse_params is not None:
+        networks.append(id(result.reverse_params))
+    assert len(networks) == (1 if fields["loss_mode"] == "1L" else 2)
+    per_step = 2 * len(networks)
+    assert len(calls) == 2 * 2 * per_step  # two epochs of two batches
+    for start in range(0, len(calls), per_step):
+        step = calls[start:start + per_step]
+        assert sorted(step[:len(networks)]) == sorted(("zero", n) for n in networks)
+        assert sorted(step[len(networks):]) == sorted(("update", n) for n in networks)

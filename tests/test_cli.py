@@ -1,4 +1,5 @@
 """Command surface: exit codes, file outputs, determinism."""
+import hashlib
 import json
 import struct
 
@@ -109,6 +110,32 @@ class TestTrain:
             outs.append(ckpt.read_bytes())
         assert outs[0] == outs[1]
         assert (tmp_path / "omitted.trace").read_text() == (tmp_path / "spelled.trace").read_text()
+
+    def test_asymmetric_checkpoint_bits_are_frozen(self, tmp_path, capsys):
+        # sha256 of the forward and reverse checkpoints of a two-network 4L
+        # run (two epochs, a short last batch), frozen from the loop that kept
+        # the reverse network in separate branches
+        data = tmp_path / "data"
+        assert main([
+            "gen-data", "--out", str(data), "--shapes", "sphere,cube",
+            "--count", "3", "--points", "128", "--seed", "3",
+        ]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_OVERRIDES, "points_per_shape": 128}))
+        ckpt, rev = tmp_path / "m.spcn", tmp_path / "m.rev.spcn"
+        capsys.readouterr()
+        assert main([
+            "train", "--data", str(data), "--out", str(ckpt), "--epochs", "2",
+            "--seed", "2", "--config", str(config), "--missing-ratio", "0.25",
+            "--loss-mode", "4L", "--batch-size", "2", "--lr", "0.001",
+            "--trace", str(tmp_path / "trace.csv"),
+        ]) == 0
+        assert capsys.readouterr().out == f"saved checkpoint(s): {ckpt}, {rev}\n"
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (ckpt, rev)]
+        assert digests == [
+            "55f653b7217f78391d6897bcca1938a98b4aeea7aeb4c728b36cedb7dea65e0a",
+            "511ed43640d2ed12dab60bac1cf67680bf3d89c3b2645d13d867499e3b8c0b51",
+        ]
 
     def test_loss_mode_flag(self, tmp_path, data_dir, config_file):
         ckpt = tmp_path / "m2.spcn"
@@ -434,6 +461,45 @@ class TestCheckpointLayout:
         assert main([command, "--ckpt", str(trained), *rest]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {trained}: config key 'knn_k': cannot read 'four' as int\n"
+        assert not (tmp_path / "o.xyz").exists()
+
+    @pytest.mark.parametrize("command", ["complete", "eval"])
+    def test_config_block_not_utf8_fails_with_one_line_error(
+        self, command, trained, tmp_path, data_dir, capsys
+    ):
+        blob = trained.read_bytes()
+        size = struct.unpack("<I", blob[8:12])[0]
+        block = blob[12:12 + size].replace(b"knn_k=4", b"knn_k=\xff")
+        trained.write_bytes(blob[:8] + struct.pack("<I", len(block)) + block + blob[12 + size:])
+        rest = {
+            "complete": ["--in", str(data_dir / "shape_0000.xyz"), "--out", str(tmp_path / "o.xyz")],
+            "eval": ["--data", str(data_dir)],
+        }[command]
+        bad = block.index(b"\xff")
+        capsys.readouterr()
+        assert main([command, "--ckpt", str(trained), *rest]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {trained}: config block is not UTF-8 text: invalid start byte at byte {bad}\n"
+        )
+        assert not (tmp_path / "o.xyz").exists()
+
+    @pytest.mark.parametrize("command", ["complete", "eval"])
+    def test_tensor_name_not_utf8_fails_with_one_line_error(
+        self, command, trained, tmp_path, data_dir, capsys
+    ):
+        blob = trained.read_bytes()
+        name = b"scm1.agg.w"
+        at = blob.index(struct.pack("<I", len(name)) + name) + 4
+        trained.write_bytes(blob[:at] + b"scm1.agg.\xff" + blob[at + len(name):])
+        rest = {
+            "complete": ["--in", str(data_dir / "shape_0000.xyz"), "--out", str(tmp_path / "o.xyz")],
+            "eval": ["--data", str(data_dir)],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--ckpt", str(trained), *rest]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {trained}: tensor name at offset {at} is not UTF-8 text\n"
+        )
         assert not (tmp_path / "o.xyz").exists()
 
     @pytest.mark.parametrize("command", ["complete", "eval"])

@@ -18,7 +18,6 @@ from spcnet.geometry import (
     normalize_cloud,
     rps,
     viewpoint_split,
-    viewpoint_split_indices,
 )
 from spcnet.rng import Rng
 
@@ -525,6 +524,16 @@ class TestNonFinite:
         np.testing.assert_array_equal(table, reference_table(query, reference, k, False))
 
 
+def split_indices(pts, viewpoint, ratio):
+    """``viewpoint_split``'s (kept, missing) parts as row indices of ``pts``,
+    whose rows must be distinct."""
+    rows = {tuple(row): i for i, row in enumerate(pts)}
+    return tuple(
+        np.array([rows[tuple(row)] for row in part], dtype=np.intp)
+        for part in viewpoint_split(pts, viewpoint, ratio)
+    )
+
+
 class TestViewpointSplit:
     def test_half_split_counts(self):
         pts = cloud(2048, 12)
@@ -545,7 +554,7 @@ class TestViewpointSplit:
 
     def test_order_preserved_within_parts(self):
         pts = cloud(40, 14)
-        kept_idx, missing_idx = viewpoint_split_indices(pts, (1.0, 1.0, 1.0), 0.3)
+        kept_idx, missing_idx = split_indices(pts, (1.0, 1.0, 1.0), 0.3)
         assert np.all(np.diff(kept_idx) > 0)
         assert np.all(np.diff(missing_idx) > 0)
 
@@ -557,7 +566,7 @@ class TestViewpointSplit:
     @settings(max_examples=50, deadline=None)
     def test_partition_property(self, seed, n, ratio):
         pts = cloud(n, seed)
-        kept_idx, missing_idx = viewpoint_split_indices(pts, (1.0, 1.0, 1.0), ratio)
+        kept_idx, missing_idx = split_indices(pts, (1.0, 1.0, 1.0), ratio)
         assert len(kept_idx) + len(missing_idx) == n
         assert set(kept_idx).isdisjoint(missing_idx)
         assert set(kept_idx) | set(missing_idx) == set(range(n))
@@ -569,7 +578,7 @@ class TestViewpointSplit:
     @pytest.mark.parametrize("viewpoint", [(np.nan, 0, 0), (0, np.inf, 0), (0, 0, -np.inf)])
     def test_non_finite_viewpoint(self, viewpoint):
         with pytest.raises(ValueError, match="not finite"):
-            viewpoint_split_indices(cloud(4, 16), viewpoint, 0.5)
+            viewpoint_split(cloud(4, 16), viewpoint, 0.5)
 
 
 class TestNormalizeCloud:

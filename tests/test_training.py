@@ -1,4 +1,5 @@
 """Losses, cycle arithmetic, the training loop, and evaluation."""
+import hashlib
 import logging
 import tracemalloc
 from dataclasses import replace
@@ -402,6 +403,48 @@ class TestTrain:
         assert result.trace_lines() == quiet.trace_lines()
         for name in quiet.params:
             np.testing.assert_array_equal(result.params[name].data, quiet.params[name].data)
+
+
+class TestFrozenTrainingBits:
+    # sha256 of the trace lines, then per trained network (forward first) the
+    # Adam step and each parameter's name, values and Adam moments (float64
+    # bytes), after two epochs over three shapes in batches of two, so each
+    # epoch ends on a short batch.  Frozen from the loop that kept the reverse
+    # network in separate branches; 4L at 0.25 also takes the cosine decay.
+    # run -> (model-config fields, points per shape, lr decay, networks)
+    RUNS = {
+        "1L-0.5": (dict(loss_mode="1L"), 64, "none", 1),
+        "2L-0.25": (dict(loss_mode="2L", missing_ratio=0.25), 128, "none", 2),
+        "4L-0.25": (dict(loss_mode="4L", missing_ratio=0.25), 128, "cosine", 2),
+        "4L-0.5": (dict(loss_mode="4L"), 64, "none", 1),
+    }
+    DIGESTS = {
+        "1L-0.5": "223c73122d39ec1d4714988c78fa04f80f1a6177f34687856c6b1a8ab4797d74",
+        "2L-0.25": "752a550d1ab63020c7798fde5b83b9fcc0236f0b1feac7ce7fda113ac8e54388",
+        "4L-0.25": "0596da3cadea729dbc04bf41482f2a2547097d4fad01647ae0a2036ada9d0ad6",
+        "4L-0.5": "d4aa32a1537c8426e64a1c65519046d3a8eeee01f3bd3771fc185dab390b325e",
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_training_bits_are_frozen(self, run):
+        fields, points, lr_decay, networks = self.RUNS[run]
+        cfg = replace(TINY, points_per_shape=points, **fields)
+        result = train(
+            tiny_dataset(count=3, points=points, seed=11), cfg,
+            TrainConfig(epochs=2, batch_size=2, lr=1e-3, seed=3, lr_decay=lr_decay),
+        )
+        trained = [(result.params, result.adam)]
+        if result.reverse_params is not None:
+            trained.append((result.reverse_params, result.reverse_adam))
+        assert len(trained) == networks
+        digest = hashlib.sha256("\n".join(result.trace_lines()).encode())
+        for params, adam in trained:
+            digest.update(str(adam.t).encode())
+            for name, p in params.items():
+                digest.update(name.encode())
+                for array in (p.data, adam.m[name], adam.v[name]):
+                    digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+        assert digest.hexdigest() == self.DIGESTS[run]
 
 
 class TestLeanTape:
