@@ -8,13 +8,9 @@ and reports per-stage errors on the training shapes afterwards.
 import argparse
 import time
 
-import numpy as np
-
 from spcnet.data import SHAPE_KINDS, generate_shapes
-from spcnet.geometry import viewpoint_split
-from spcnet.model import LOSS_MODES, ModelConfig, spcnet_forward
-from spcnet.tensor import Tensor, no_grad
-from spcnet.training import LR_DECAYS, TrainConfig, chamfer, nested_targets, train
+from spcnet.model import LOSS_MODES, ModelConfig
+from spcnet.training import LR_DECAYS, TrainConfig, shape_errors, train
 
 
 def main():
@@ -56,16 +52,9 @@ def main():
           f"(ratio {totals[-1] / totals[0]:.3f})")
 
     print("\nper-stage CD x1000 on the training shapes (viewpoint (1,1,1)):")
-    with no_grad():
-        for category, pts in dataset.shapes:
-            p_n, p_m = viewpoint_split(pts, (1.0, 1.0, 1.0), config.missing_ratio)
-            out = spcnet_forward(Tensor(p_n), result.params, config)
-            targets = nested_targets(p_m, out.counts())
-            cds = [
-                chamfer(stage, Tensor(t)).item() * 1000.0
-                for stage, t in zip(out.stages, targets)
-            ]
-            print(f"  {category:10s} " + "  ".join(f"{c:8.3f}" for c in cds))
+    for category, pts in dataset.shapes:
+        cds = shape_errors(result.params, config, pts, (1.0, 1.0, 1.0), stagewise=True, rng=None)
+        print(f"  {category:10s} " + "  ".join(f"{c:8.3f}" for c in cds))
 
 
 if __name__ == "__main__":

@@ -79,10 +79,10 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     """``train``, and ``ablate`` with ``args.variant`` set."""
     values = _config_values(args)
-    dataset = load_dataset(args.data)
-    values["points_per_shape"] = dataset.shapes[0][1].shape[0]
     given = {f.name: getattr(args, f.name) for f in dataclass_fields(TrainConfig)}
     train_config = TrainConfig(**{name: v for name, v in given.items() if v is not None})
+    dataset = load_dataset(args.data)
+    values["points_per_shape"] = dataset.shapes[0][1].shape[0]
     if args.variant:
         values = VARIANTS[args.variant](values)
     config = ModelConfig(**values)
@@ -127,9 +127,10 @@ def _cmd_complete(args) -> int:
 def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     dataset = load_dataset(args.data)
+    given = {"viewpoint": args.viewpoint, "seed": args.seed}
     report = evaluate(
-        ckpt.params, ckpt.config, dataset,
-        viewpoint=args.viewpoint, stagewise=args.stagewise, seed=args.seed,
+        ckpt.params, ckpt.config, dataset, stagewise=args.stagewise,
+        **{name: v for name, v in given.items() if v is not None},
     )
     csv = report.to_csv()
     if args.report:
@@ -186,10 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--viewpoint", type=_parse_viewpoint, default=(1.0, 1.0, 1.0))
+    # --viewpoint and --seed: None takes evaluate's default
+    p.add_argument("--viewpoint", type=_parse_viewpoint, default=None)
     p.add_argument("--report", default=None, help="CSV output path")
     p.add_argument("--stagewise", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("ablate", help="train a named ablation variant")

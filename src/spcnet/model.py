@@ -60,17 +60,21 @@ _CHOICES = {
 }
 
 
-def config_value(name: str, value):
-    """``value`` as config field ``name`` holds it: of the type of the
-    field's default (an int widens to a float, a list to a tuple) and within
-    the field's own rule.  Anything else is a ValueError."""
-    default = ModelConfig.__dataclass_fields__[name].default
-    accepts, expected = _VALUE_TYPES[type(default)]
+def typed_value(name: str, value, kind: type):
+    """``value`` as a config field ``name`` of type ``kind`` holds it (an int
+    widens to a float, a list to a tuple); anything else is a ValueError."""
+    accepts, expected = _VALUE_TYPES[kind]
     if not accepts(value):
         raise ValueError(
             f"config key {name}: expected {expected}, got {json.dumps(value, default=repr)}"
         )
-    value = type(default)(value)
+    return kind(value)
+
+
+def config_value(name: str, value):
+    """``value`` as config field ``name`` holds it: of the type of the
+    field's default (``typed_value``) and within the field's own rule."""
+    value = typed_value(name, value, type(ModelConfig.__dataclass_fields__[name].default))
     if name in _FIELD_RULES and not _FIELD_RULES[name][0](value):
         raise ValueError(f"{_FIELD_RULES[name][1]}, got {value!r}")
     if name in _CHOICES and value not in _CHOICES[name]:

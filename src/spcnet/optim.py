@@ -10,6 +10,9 @@ from .tensor import Tensor
 # Named parameter set: "<module>.<layer>.<role>" -> grad-enabled Tensor.
 ParamSet = dict
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def zero_grads(params: ParamSet) -> None:
     for p in params.values():
@@ -33,30 +36,23 @@ class AdamState:
         )
 
 
-def adam_step(
-    params: ParamSet,
-    state: AdamState,
-    lr: float = 1e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: ParamSet, state: AdamState, lr: float = 1e-4) -> None:
     """One bias-corrected Adam update; grads are read, not cleared."""
     missing = [k for k, p in params.items() if p.grad is None]
     if missing:
         raise ValueError(f"adam_step: missing gradient for {missing[0]!r}")
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for name, p in params.items():
         g = p.grad
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 class ParamBuilder:

@@ -118,7 +118,7 @@ class Rng:
     def uniform_array(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """``shape`` draws of ``uniform(lo, hi)``, in row-major order: the
         same values, and the same state afterwards, as drawing them one by one."""
-        n = int(np.prod(shape)) if shape else 1
+        n = int(np.prod(shape))
         out = np.empty(n, dtype=np.float64)
         whole = 0
         if n >= _LANE_MIN:

@@ -11,13 +11,14 @@ import logging
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from typing import get_type_hints
 
 import numpy as np
 
 from . import tensor as T
 from .geometry import fps, nearest_index, viewpoint_split
 from .model import (
-    LOSS_MODES, ModelConfig, StageOutputs, init_params, spcnet_forward, stage_names,
+    LOSS_MODES, ModelConfig, StageOutputs, init_params, spcnet_forward, stage_names, typed_value,
 )
 from .optim import AdamState, ParamSet, adam_step, zero_grads
 from .rng import Rng
@@ -126,7 +127,7 @@ def cycle_total_loss(
     p_partial: np.ndarray,
     p_missing: np.ndarray,
     weights: LossWeights,
-    loss_mode: str = "4L",
+    loss_mode: str,
 ):
     """Direct and cycle losses over one shape.
 
@@ -176,6 +177,9 @@ def cycle_total_loss(
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training-run settings, checked when built: each field's type by
+    ``model.typed_value``, then its range or choice."""
+
     epochs: int
     batch_size: int = 24
     lr: float = 1e-4
@@ -183,6 +187,8 @@ class TrainConfig:
     lr_decay: str = "none"  # one of LR_DECAYS
 
     def __post_init__(self):
+        for name, kind in get_type_hints(TrainConfig).items():
+            object.__setattr__(self, name, typed_value(name, getattr(self, name), kind))
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -336,6 +342,22 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def shape_errors(params: ParamSet, config: ModelConfig, points, viewpoint, stagewise, rng):
+    """Split ``points`` at ``viewpoint``, complete the partial side without a
+    tape, and score it: the Chamfer distance x1000 between the predicted and
+    the true whole shape or, with ``stagewise``, one per stage against the
+    nested targets sampled from the true missing part.  ``rng`` drives the
+    sampling of an ``rps`` network (``None`` for fps)."""
+    with no_grad():
+        p_n, p_m = viewpoint_split(points, viewpoint, config.missing_ratio)
+        out = spcnet_forward(Tensor(p_n), params, config, rng=rng)
+        if stagewise:
+            pairs = zip(out.stages, nested_targets(p_m, out.counts()))
+        else:
+            pairs = [(np.concatenate([p_n, out.final.data]), np.concatenate([p_n, p_m]))]
+        return tuple(chamfer(pred, constant(true)).item() * 1000.0 for pred, true in pairs)
+
+
 def evaluate(
     params: ParamSet,
     config: ModelConfig,
@@ -344,11 +366,8 @@ def evaluate(
     stagewise: bool = False,
     seed: int = 0,
 ) -> EvalReport:
-    """Split each shape at a fixed viewpoint, complete it, and report the
-    Chamfer distance between predicted and true whole shapes, scaled by 1000.
-
-    ``stagewise`` reports instead the per-stage distances against the
-    matching-resolution missing-part targets.
+    """``shape_errors`` of every shape at one viewpoint, averaged per category
+    and overall.  An ``rps`` network samples shape ``i`` with ``Rng(seed + i)``.
     """
     shapes = dataset.shapes
     if not shapes:
@@ -358,24 +377,13 @@ def evaluate(
             f"evaluate: checkpoint expects {config.points_per_shape} points per "
             f"shape, dataset has {shapes[0][1].shape[0]}"
         )
-    vp = np.asarray(viewpoint, dtype=np.float64)
-    values = []
-    with no_grad():
-        for index, (_, points) in enumerate(shapes):
-            rng = Rng(seed + index) if config.sampling_kind == "rps" else None
-            p_n, p_m = viewpoint_split(points, vp, config.missing_ratio)
-            out = spcnet_forward(Tensor(p_n), params, config, rng=rng)
-            if stagewise:
-                targets = nested_targets(p_m, out.counts())
-                values.append(tuple(
-                    chamfer(stage, constant(t)).item() * 1000.0
-                    for stage, t in zip(out.stages, targets)
-                ))
-            else:
-                pred_whole = np.concatenate([p_n, out.final.data], axis=0)
-                true_whole = np.concatenate([p_n, p_m], axis=0)
-                cd = chamfer(Tensor(pred_whole), Tensor(true_whole)).item()
-                values.append((cd * 1000.0,))
+    values = [
+        shape_errors(
+            params, config, points, viewpoint, stagewise,
+            Rng(seed + index) if config.sampling_kind == "rps" else None,
+        )
+        for index, (_, points) in enumerate(shapes)
+    ]
 
     if stagewise:
         columns = tuple(f"cd_{name}" for name in stage_names(len(values[0])))

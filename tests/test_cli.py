@@ -186,6 +186,15 @@ class TestTrain:
         assert err == f"error: lr must be a positive finite number, got {float(lr)}\n"
         assert not (tmp_path / "m.spcn").exists()
 
+    def test_train_flags_are_checked_before_data_is_read(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert main([
+            "train", "--data", str(tmp_path / "no-such-dir"), "--out", str(tmp_path / "m.spcn"),
+            "--epochs", "1", "--lr", "-1",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: lr must be a positive finite number, got -1.0\n"
+
     def test_config_is_built_once_from_every_value(self, tmp_path, capsys):
         # the defaults do not divide 100 points, the scm1 variant does: the
         # variant and the point count apply before anything is checked
@@ -542,6 +551,20 @@ class TestEval:
         ]) == 0
         header = report.read_text().splitlines()[0]
         assert header == "category,count,cd_coarse,cd_mid,cd_fine,cd_final"
+
+    @pytest.mark.parametrize("flags, given", [
+        ([], {}),
+        (["--viewpoint", "0,-1,2", "--seed", "3"], {"viewpoint": (0.0, -1.0, 2.0), "seed": 3}),
+    ], ids=["defaults", "given"])
+    def test_passes_only_the_flags_given(self, trained, data_dir, flags, given, capsys):
+        from spcnet.data import load_dataset
+        from spcnet.training import evaluate
+
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(trained), "--data", str(data_dir), *flags]) == 0
+        ckpt = load_checkpoint(trained)
+        expected = evaluate(ckpt.params, ckpt.config, load_dataset(data_dir), **given)
+        assert capsys.readouterr().out == expected.to_csv()
 
     @pytest.mark.parametrize("viewpoint", ["nan,0,0", "0,inf,0", "0,0,-inf"])
     def test_non_finite_viewpoint_is_usage_error(self, tmp_path, viewpoint, capsys):

@@ -29,7 +29,7 @@ def test_first_step_matches_hand_evaluation():
     lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
     params = single_param(0.0, 1.0)
     state = AdamState.for_params(params)
-    adam_step(params, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    adam_step(params, state, lr=lr)
     expected = -lr * (1.0 / (1 - b1)) * (1 - b1) / (np.sqrt((1 - b2) / (1 - b2)) + eps)
     assert params["p"].data[0] == pytest.approx(expected, rel=1e-12)
     assert params["p"].data[0] == pytest.approx(-lr, rel=1e-6)

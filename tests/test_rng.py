@@ -110,6 +110,18 @@ def test_uniform_array_zero_size_draws_nothing():
     assert_same_stream_after(rng, Rng(35))
 
 
+def test_uniform_array_integer_zero_draws_nothing():
+    # the integer 0 is a length, not the scalar shape ()
+    rng = Rng(36)
+    got = rng.uniform_array(0)
+    assert got.shape == (0,)
+    assert rng.next_uint64() == Rng(36).next_uint64()
+
+
+def test_uniform_array_integer_shape_is_a_length():
+    assert Rng(37).uniform_array(5).tobytes() == Rng(37).uniform_array((5,)).tobytes()
+
+
 def test_randrange_bounds_and_coverage():
     rng = Rng(11)
     draws = [rng.randrange(7) for _ in range(2000)]

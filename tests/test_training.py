@@ -303,6 +303,22 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, batch_size=0)
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(epochs=1.5), "config key epochs: expected an integer, got 1.5"),
+        (dict(epochs=True), "config key epochs: expected an integer, got true"),
+        (dict(epochs=1, batch_size=1.5), "config key batch_size: expected an integer, got 1.5"),
+        (dict(epochs=1, seed=0.5), "config key seed: expected an integer, got 0.5"),
+        (dict(epochs=1, lr="0.1"), 'config key lr: expected a number, got "0.1"'),
+    ], ids=["epochs-float", "epochs-bool", "batch-float", "seed-float", "lr-str"])
+    def test_value_of_wrong_type_rejected(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**fields)
+        assert str(info.value) == message
+
+    def test_integer_lr_widens_to_float(self):
+        assert TrainConfig(epochs=1, lr=1).lr == 1.0
+        assert isinstance(TrainConfig(epochs=1, lr=1).lr, float)
+
 
 def tiny_dataset(count=2, points=64, seed=0):
     return generate_shapes(["sphere", "cube"], count, points, seed)
@@ -543,3 +559,42 @@ class TestEvaluate:
         params = init_params(TINY, 23)
         with pytest.raises(ValueError, match="points per"):
             evaluate(params, TINY, tiny_dataset(points=32, seed=9))
+
+
+class TestFrozenEvaluationBits:
+    # sha256 of evaluate's CSV, whole-shape and stagewise, for init parameters
+    # at a viewpoint other than the default.  Frozen from the evaluate loop
+    # that split, completed and scored each shape inline.
+    # run -> (model-config fields, evaluate seed)
+    RUNS = {
+        "fps": (dict(), 0),
+        "rps-seed4": (dict(sampling_kind="rps"), 4),
+        "missing-0.25": (dict(missing_ratio=0.25), 0),
+    }
+    DIGESTS = {
+        ("fps", False):
+            "d782b1a1a87eff8e86811e479ec4dc76f420a1f95e1615e01feaaa13cb06cc9b",
+        ("fps", True):
+            "432f098d084bd8a578d0b0daf20d162dff8541d5036e1d1a77403e3b661333b8",
+        ("rps-seed4", False):
+            "4de4c7c99e2840bfb5eb3d59e3233912d95a52428b4db48729462f588144e5e1",
+        ("rps-seed4", True):
+            "04b472f59ddb7b2eff7e35a3f0e710842d9155868326c55c2aab0f2052e15e67",
+        ("missing-0.25", False):
+            "5818c477f075f1e34233ef3793c76f8ae081016b4d1dfa0354e42775647ffa75",
+        ("missing-0.25", True):
+            "f83ee241cd8db30a56e50abfddc92732dd519a97f9d20672ae78beeba8f90a90",
+    }
+
+    @pytest.mark.parametrize("stagewise", [False, True], ids=["whole", "stagewise"])
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_evaluation_bits_are_frozen(self, run, stagewise):
+        fields, seed = self.RUNS[run]
+        cfg = replace(TINY, **fields)
+        dataset = generate_shapes(["sphere", "cube", "torus"], 4, 64, 12)
+        report = evaluate(
+            init_params(cfg, 13), cfg, dataset,
+            viewpoint=(0.5, -1.0, 2.0), stagewise=stagewise, seed=seed,
+        )
+        digest = hashlib.sha256(report.to_csv().encode()).hexdigest()
+        assert digest == self.DIGESTS[run, stagewise]
