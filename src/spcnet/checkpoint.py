@@ -5,24 +5,26 @@ lines, u32 tensor count, then per tensor a length-prefixed name, u32 rank,
 u64 extents, and float32 values.  Parameters are stored in 32 bits (adequate
 for inference at half the file size); optimizer moments ride along as
 reserved "adam." tensors when present.  Every stored value is finite, and
-no config key appears twice: a save refuses a tensor that float32 cannot
-hold finitely, a load refuses a non-finite value or a repeated key.  A save
-writes a temporary file next to the target and renames it over the target,
-so a failed save leaves any earlier file intact.
+no config key or tensor name appears twice: a save refuses a tensor that
+float32 cannot hold finitely, or a meta entry that would not read back
+(a key holding "=", a key or value holding a line break); a load refuses a
+non-finite value or a repeated key or name.  A load fills the layout the
+stored config registers as it reads each record.  A save writes a temporary
+file next to the target and renames it over the target, so a failed save
+leaves any earlier file intact.
 """
 from __future__ import annotations
 
 import math
 import os
 import struct
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .model import ModelConfig, init_params
 from .optim import AdamState, ParamSet
-from .tensor import Tensor
 
 MAGIC = b"SPCN"
 VERSION = 1
@@ -64,7 +66,7 @@ def _decode_value(text: str, default, path, key: str):
         ) from None
 
 
-def _config_block(ckpt: Checkpoint) -> bytes:
+def _config_block(ckpt: Checkpoint, path) -> bytes:
     lines = [f"{f.name}={_encode_value(getattr(ckpt.config, f.name))}"
              for f in dataclass_fields(ModelConfig)]
     lines.append(f"has_adam={ckpt.adam is not None}")
@@ -72,6 +74,11 @@ def _config_block(ckpt: Checkpoint) -> bytes:
         lines.append(f"adam.t={ckpt.adam.t}")
     for key in sorted(ckpt.meta):
         lines.append(f"meta.{key}={ckpt.meta[key]}")
+        # a load splits the block into lines and each line at its first "="
+        if "=" in str(key) or "".join(lines[-1].splitlines()) != lines[-1]:
+            raise CheckpointError(
+                f"{path}: meta key {key!r}: a key may not hold '=', nor a key or value a line break"
+            )
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -120,15 +127,19 @@ def _parse_config_block(blob: bytes, path) -> tuple[ModelConfig, dict, int | Non
 
 # -- binary io ----------------------------------------------------------------
 
+def _records(params: ParamSet, adam: AdamState | None) -> list[tuple[str, np.ndarray]]:
+    """The stored (name, array) pairs in file order: the parameters, then
+    Adam's first moments, then its second moments."""
+    records = [(n, p.data) for n, p in params.items()]
+    if adam is not None:
+        records += [(f"adam.m.{n}", adam.m[n]) for n in params]
+        records += [(f"adam.v.{n}", adam.v[n]) for n in params]
+    return records
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    names = list(ckpt.params)
-    tensors: list[tuple[str, np.ndarray]] = [(n, ckpt.params[n].data) for n in names]
-    if ckpt.adam is not None:
-        for n in names:
-            tensors.append((f"adam.m.{n}", ckpt.adam.m[n]))
-        for n in names:
-            tensors.append((f"adam.v.{n}", ckpt.adam.v[n]))
-    blob = _config_block(ckpt)
+    records = _records(ckpt.params, ckpt.adam)
+    blob = _config_block(ckpt, path)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -137,8 +148,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(struct.pack("<I", VERSION))
             fh.write(struct.pack("<I", len(blob)))
             fh.write(blob)
-            fh.write(struct.pack("<I", len(tensors)))
-            for name, data in tensors:
+            fh.write(struct.pack("<I", len(records)))
+            for name, data in records:
                 encoded = name.encode("utf-8")
                 fh.write(struct.pack("<I", len(encoded)))
                 fh.write(encoded)
@@ -181,6 +192,8 @@ class _Reader:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint into the layout its config registers: each record
+    fills, with its own shape, a slot not yet filled, until all are."""
     blob = Path(path).read_bytes()
     r = _Reader(blob, path)
     magic = r.take(4, "magic")
@@ -193,47 +206,35 @@ def load_checkpoint(path) -> Checkpoint:
         )
     config_len = r.u32("config length")
     config, meta, adam_t = _parse_config_block(r.take(config_len, "config block"), path)
-    count = r.u32("tensor count")
-    raw: dict[str, np.ndarray] = {}
-    for _ in range(count):
+    params = init_params(config, None)
+    adam = None if adam_t is None else replace(AdamState.for_params(params), t=adam_t)
+    layout = dict(_records(params, adam))
+    unfilled = dict(layout)
+    for _ in range(r.u32("tensor count")):
         name_len = r.u32("name length")
         at = r.offset
         try:
             name = r.take(name_len, "tensor name").decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"{path}: tensor name at offset {at} is not UTF-8 text") from None
-        rank = r.u32("rank")
-        shape = tuple(r.u64("extent") for _ in range(rank))
-        size = math.prod(shape)  # Python ints: a uint64 product would wrap
-        values = np.frombuffer(r.take(4 * size, f"values of {name}"), dtype="<f4")
+        slot = unfilled.pop(name, None)
+        if slot is None:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} at offset {at} appears twice" if name in layout
+                else f"{path}: unexpected tensor {name!r} at offset {at}"
+            )
+        shape = tuple(r.u64("extent") for _ in range(r.u32("rank")))
+        # bytes before shape: extents whose product passes 2**64 read as truncated
+        values = np.frombuffer(r.take(4 * math.prod(shape), f"values of {name}"), dtype="<f4")
+        if shape != slot.shape:
+            raise CheckpointError(f"{path}: tensor {name!r} is {shape}, not {slot.shape}")
         if not np.isfinite(values).all():
             raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
-        raw[name] = values.astype(np.float64).reshape(shape)
+        np.copyto(slot, values.reshape(shape))
     if r.offset != len(blob):
         raise CheckpointError(
             f"{path}: {len(blob) - r.offset} trailing bytes at offset {r.offset}"
         )
-
-    # exactly the tensors the config registers, with their Adam moments
-    # when the file says it holds them
-    layout = {n: p.shape for n, p in init_params(config, None).items()}
-    expected = dict(layout)
-    if adam_t is not None:
-        expected.update((f"adam.{s}.{n}", shape) for s in "mv" for n, shape in layout.items())
-    for name, shape in expected.items():
-        if name not in raw:
-            raise CheckpointError(f"{path}: missing tensor {name!r}")
-        if raw[name].shape != shape:
-            raise CheckpointError(f"{path}: tensor {name!r} is {raw[name].shape}, not {shape}")
-    for name in raw:
-        if name not in expected:
-            raise CheckpointError(f"{path}: unexpected tensor {name!r}")
-    params: ParamSet = {n: Tensor(raw[n], requires_grad=True) for n in layout}
-    adam = None
-    if adam_t is not None:
-        adam = AdamState(
-            m={n: raw[f"adam.m.{n}"] for n in params},
-            v={n: raw[f"adam.v.{n}"] for n in params},
-            t=adam_t,
-        )
+    if unfilled:
+        raise CheckpointError(f"{path}: missing tensor {next(iter(unfilled))!r}")
     return Checkpoint(config=config, params=params, adam=adam, meta=meta)

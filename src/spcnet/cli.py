@@ -6,7 +6,6 @@ deterministic under fixed seeds and inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import fields as dataclass_fields
@@ -15,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
-from .data import SHAPE_KINDS, generate_dataset, load_dataset, read_text, read_xyz, write_xyz
+from .data import SHAPE_KINDS, generate_dataset, load_dataset, read_json, read_xyz, write_xyz
 from .model import LOSS_MODES, ModelConfig, config_value, spcnet_forward, stage_names
 from .rng import Rng
 from .tensor import Tensor, no_grad
@@ -51,16 +50,13 @@ def _config_values(args) -> dict:
     value is checked here, before any data is read."""
     given = {}
     if args.config:
-        try:
-            given = json.loads(read_text(args.config))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
+        given = read_json(args.config)
         if not isinstance(given, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
     values = {f.name: f.default for f in dataclass_fields(ModelConfig)}
     unknown = set(given) - set(values)
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"{args.config}: unknown config keys: {sorted(unknown)}")
     flags = {"missing_ratio": args.missing_ratio, "loss_mode": args.loss_mode}
     given.update((name, value) for name, value in flags.items() if value is not None)
     values.update((name, config_value(name, value)) for name, value in given.items())

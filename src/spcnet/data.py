@@ -43,6 +43,16 @@ def read_text(path) -> str:
         raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
+def read_json(path):
+    """A JSON file's value; text that does not parse (a syntax error, an
+    integer too long to convert, nesting too deep) is an error naming the file."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
 def read_xyz(path, extra_columns: bool = False) -> np.ndarray:
     """Parse one point per line; blank and '#' lines are skipped.
 
@@ -219,10 +229,7 @@ def load_dataset(data_dir) -> Dataset:
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
     if manifest_path.exists():
-        try:
-            manifest = json.loads(read_text(manifest_path))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{manifest_path}: not valid JSON: {exc}") from None
+        manifest = read_json(manifest_path)
         entries = manifest.get("shapes") if isinstance(manifest, dict) else None
         if not isinstance(entries, list) or not entries:
             raise ValueError(f"{manifest_path}: needs a non-empty \"shapes\" list")

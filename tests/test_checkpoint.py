@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spcnet.checkpoint import (
     Checkpoint,
@@ -365,3 +366,118 @@ class TestRepeatedConfigKey:
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
         assert str(info.value) == f"{path}: config key {key!r} appears twice"
+
+
+def record_header_spans(blob: bytes) -> list:
+    """[start, end) of the file's prefix (magic to tensor count) and of each
+    record's header (name length to its last extent): the bytes a load
+    parses, as opposed to the values it copies."""
+    at = 12 + struct.unpack("<I", blob[8:12])[0] + 4
+    spans = [(0, at)]
+    while at < len(blob):
+        rank_at = at + 4 + struct.unpack("<I", blob[at:at + 4])[0]
+        rank = struct.unpack("<I", blob[rank_at:rank_at + 4])[0]
+        end = rank_at + 4 + 8 * rank
+        spans.append((at, end))
+        at = end + 4 * int(np.prod(struct.unpack(f"<{rank}Q", blob[rank_at + 4:end])))
+    return spans
+
+
+@pytest.fixture(scope="module")
+def fuzz_target(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "m.spcn"
+    save_checkpoint(make_checkpoint(21, with_adam=True), path)
+    blob = path.read_bytes()
+    return path, blob, record_header_spans(blob)
+
+
+@st.composite
+def mutated(draw, blob: bytes, spans=()) -> bytes:
+    """``blob`` truncated, with a bit flipped, or with 1 to 8 bytes overwritten
+    or inserted, at a byte drawn from one of ``spans`` or from the whole."""
+    start, end = draw(st.sampled_from([*spans, (0, len(blob))]))
+    at = draw(st.integers(start, end - 1))
+    kind = draw(st.sampled_from(["truncate", "flip", "overwrite", "insert"]))
+    out = bytearray(blob)
+    if kind == "truncate":
+        del out[at:]
+    elif kind == "flip":
+        out[at] ^= 1 << draw(st.integers(0, 7))
+    else:
+        new = draw(st.binary(min_size=1, max_size=8))
+        out[at:at + (len(new) if kind == "overwrite" else 0)] = new
+    return bytes(out)
+
+
+class TestMutatedFile:
+    """Whatever bytes a file holds, a load returns a checkpoint or raises one
+    CheckpointError line that names the file."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_loads_or_names_the_file(self, fuzz_target, data):
+        path, blob, spans = fuzz_target
+        # most draws land in a header: value bytes only load or are not finite
+        path.write_bytes(data.draw(mutated(blob, spans)))
+        try:
+            load_checkpoint(path)
+        except CheckpointError as exc:
+            assert str(exc).startswith(f"{path}: ") and "\n" not in str(exc)
+
+
+class TestRepeatedTensorName:
+    def test_second_copy_is_an_error_naming_file_tensor_and_offset(self, tmp_path):
+        # a zeroed second copy of a parameter, appended as one more record
+        path = tmp_path / "m.spcn"
+        save_checkpoint(make_checkpoint(22), path)
+        blob = path.read_bytes()
+        name = b"coarse.enc.l0.w"
+        head = blob.index(struct.pack("<I", len(name)) + name)
+        at = head + 4 + len(name)
+        rank = struct.unpack("<I", blob[at:at + 4])[0]
+        shape = struct.unpack(f"<{rank}Q", blob[at + 4:at + 4 + 8 * rank])
+        record = blob[head:at + 4 + 8 * rank] + bytes(4 * int(np.prod(shape)))
+        count_at = 12 + struct.unpack("<I", blob[8:12])[0]
+        count = struct.unpack("<I", blob[count_at:count_at + 4])[0]
+        path.write_bytes(
+            blob[:count_at] + struct.pack("<I", count + 1) + blob[count_at + 4:] + record
+        )
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == (
+            f"{path}: tensor 'coarse.enc.l0.w' at offset {len(blob) + 4} appears twice"
+        )
+
+
+class TestMetaEntries:
+    """A load splits the config block into lines and each line at its first
+    "=": a save refuses a meta entry that would not read back as written."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("note", "a\nb"),
+        ("note", "1\r2"),
+        ("note", "v\u2028w"),
+        ("note", "ends\n"),
+        ("a=b", "c"),
+        ("two\nlines", "x"),
+    ])
+    def test_save_refuses_and_leaves_existing_file(self, tmp_path, key, value):
+        path = tmp_path / "m.spcn"
+        save_checkpoint(make_checkpoint(23), path)
+        before = path.read_bytes()
+        ckpt = make_checkpoint(24)
+        ckpt.meta[key] = value
+        with pytest.raises(CheckpointError) as info:
+            save_checkpoint(ckpt, path)
+        assert str(info.value) == (
+            f"{path}: meta key {key!r}: a key may not hold '=', nor a key or value a line break"
+        )
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.spcn"]
+
+    def test_other_text_round_trips(self, tmp_path):
+        path = tmp_path / "m.spcn"
+        ckpt = make_checkpoint(25)
+        ckpt.meta = {"formula": "a=b=c", "empty": "", "spaced": " x\ty ", "unicode": "ünï"}
+        save_checkpoint(ckpt, path)
+        assert load_checkpoint(path).meta == ckpt.meta

@@ -1,16 +1,22 @@
 """Command surface: exit codes, file outputs, determinism."""
 import hashlib
+import io
 import json
 import struct
+from contextlib import redirect_stderr
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spcnet.training
 from spcnet.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from spcnet.cli import main
-from spcnet.data import read_xyz, write_xyz
+from spcnet.data import generate_dataset, read_xyz, write_xyz
 from spcnet.model import ModelConfig, init_params
+from test_checkpoint import mutated
 
 TINY_OVERRIDES = {
     "points_per_shape": 64,
@@ -333,6 +339,26 @@ class TestMalformedManifest:
         assert not out.exists()
 
 
+class TestJsonPastTheParser:
+    """JSON the parser gives up on, an integer too long to convert or nesting
+    too deep, is a one-line error naming the file, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "text", ['{"knn_k": ' + "9" * 5000 + "}", "[" * 100000], ids=["long-int", "deep"]
+    )
+    @pytest.mark.parametrize("name", ["config", "manifest"])
+    def test_one_line_error_naming_the_file(
+        self, tmp_path, data_dir, config_file, text, name, capsys
+    ):
+        bad = config_file if name == "config" else data_dir / "manifest.json"
+        bad.write_text(text)
+        argv = data_command("train", tmp_path, config_file, tmp_path / "m.spcn")
+        capsys.readouterr()
+        assert main([*argv, "--data", str(data_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not valid JSON: ") and err.count("\n") == 1
+
+
 class TestMiscountedFile:
     @pytest.mark.parametrize("index, rows, message", [
         (0, 0, "no points"),
@@ -350,6 +376,60 @@ class TestMiscountedFile:
         assert main([*argv, "--data", str(data_dir)]) == 1
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not out.exists()
+
+
+class Loaded(Exception):
+    """Raised in place of training: every input was read and accepted."""
+
+
+@pytest.fixture(scope="module")
+def train_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    generate_dataset(root / "data", ["sphere", "cube"], 2, 64, 3)
+    (root / "config.json").write_text(json.dumps(TINY_OVERRIDES))
+    return root
+
+
+def known_fields_object(blob: bytes) -> bool:
+    """Whether ``blob`` is a JSON object whose keys are all config fields."""
+    try:
+        given = json.loads(blob.decode("utf-8"))
+    except ValueError:
+        return False
+    return isinstance(given, dict) and set(given) <= {f.name for f in fields(ModelConfig)}
+
+
+class TestMutatedInputs:
+    """Whatever bytes a dataset file or the --config file holds, ``train``
+    reaches training or exits 1 with one ``error:`` line that names the
+    file. Where the mutated config is still an object of known fields, the
+    line is the value's own message instead, the one a flag would give."""
+
+    @pytest.mark.parametrize("name", ["data/shape_0001.xyz", "data/manifest.json", "config.json"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_train_reads_or_names_the_file(self, train_inputs, name, data):
+        path = train_inputs / name
+        good = path.read_bytes()
+        bad = data.draw(mutated(good))
+        path.write_bytes(bad)
+        argv = ["train", "--data", str(train_inputs / "data"), "--epochs", "1",
+                "--out", str(train_inputs / "m.spcn"), "--config", str(train_inputs / "config.json")]
+        try:
+            with mock.patch("spcnet.cli.train", side_effect=Loaded), \
+                    redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+        except Loaded:
+            return
+        finally:
+            path.write_bytes(good)
+        line = err.getvalue()
+        assert code == 1 and line.startswith("error: ") and line.count("\n") == 1, line
+        if name == "data/manifest.json":
+            # the manifest, or a file it names
+            assert str(path.parent) in line, line
+        elif not (name == "config.json" and known_fields_object(bad)):
+            assert str(path) in line, line
 
 
 class TestNotUtf8:

@@ -400,6 +400,23 @@ class TestFusedConv:
         monkeypatch.setattr(G, "_BLOCK_BYTES", 8 * 4 * units * 2 * 3)
         assert_matches_composite(kind, tensors, nbrs, params, 2)
 
+    def test_backward_over_several_blocks(self, kind, monkeypatch):
+        q, d, m_out = 13, 3, 4
+        tensors, nbrs, params = conv_case(kind, q, 30, 4, d, m_out, 98)
+        units = m_out + 1 if kind == "adapt" else 1  # generator units and the bias unit
+        # 3 rows per backward block: blocks of 3, 3, 3, 3 and a ragged 1
+        monkeypatch.setattr(G, "_BLOCK_BYTES", 8 * m_out * max(units, d) * 3)
+        counts = []
+
+        def counted(rows, row_bytes):
+            blocks = G.row_blocks(rows, row_bytes)
+            counts.append(len(blocks))
+            return blocks
+
+        monkeypatch.setattr(L, "row_blocks", counted)
+        assert_matches_composite(kind, tensors, nbrs, params, m_out)
+        assert len(counts) == 2 and counts[1] == 5  # the forward's blocks, then the backward's
+
     def test_forward_bits_independent_of_block_size(self, kind, monkeypatch):
         tensors, nbrs, params = conv_case(kind, 40, 64, 6, 3, 5, 94)
         whole = L._conv_over_edges(kind, *tensors, nbrs, params, "c", 5).data
