@@ -238,12 +238,18 @@ def load_dataset(data_dir) -> Dataset:
                 isinstance(entry.get(key), str) for key in ("category", "file")
             ):
                 raise ValueError(f"{manifest_path}: shape {i} needs string category and file")
+        # later files are held to the first, and the first to the manifest
+        declared = manifest.get("points_per_shape")
         shapes = []
         for entry in entries:
             path = data_dir / entry["file"]
             points = read_xyz(path)
             if not len(points):
                 raise ValueError(f"{path}: no points")
+            if not shapes and type(declared) is int and len(points) != declared:
+                raise ValueError(
+                    f"{path}: {len(points)} points, but the manifest gives points_per_shape {declared}"
+                )
             if shapes and len(points) != len(shapes[0][1]):
                 raise ValueError(
                     f"{path}: {len(points)} points, but the first file has {len(shapes[0][1])}"

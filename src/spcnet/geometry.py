@@ -68,7 +68,7 @@ def fps(cloud: np.ndarray, n: int) -> np.ndarray:
     dmin = _sq_dists(cols[:, start:start + 1], cols)[0]
     diff, d2 = np.empty_like(cols), np.empty_like(dmin)
     for i in range(1, n):
-        nxt = int(np.argmax(dmin))
+        nxt = dmin.argmax()
         selected[i] = nxt
         # _sq_dists to one point, in fewer calls: (dx² + dy²) + dz²
         np.subtract(cols, cols[:, nxt:nxt + 1], out=diff)

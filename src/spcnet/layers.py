@@ -215,7 +215,11 @@ def _conv_over_edges(
         xr_gen = xr[:, : 3 if units > 1 else 0]
         w0_gen = w0_r[: xr_gen.shape[1]]
         g_xr, g_w0_r = np.zeros_like(xr_gen), np.zeros_like(w0_gen)
-        for rows in row_blocks(q, 8 * m_out * max(units, d)):
+        # Each block adds a whole [m_out, d, units] product into each weight
+        # gradient, over an inner dimension of only its rows, so a block
+        # takes 4x the rows of a 2 MB [m_out, max(units, d)] array: at paper
+        # width that halves the backward, and more rows gain nothing further.
+        for rows in row_blocks(q, 2 * m_out * max(units, d)):
             # [m_out, qb] reference at each output's max edge
             picked = np.take_along_axis(neighbors[rows], arg[rows], axis=1).T
             gh = g_h[:, rows]

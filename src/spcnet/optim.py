@@ -65,19 +65,42 @@ class ParamBuilder:
 
     def __init__(self, rng):
         self.rng = rng
-        self.entries: ParamSet = {}
+        self._entries: ParamSet = {}
+        self._pending: list = []  # (name, fan_in, fan_out) of weights not drawn yet
 
-    def _add(self, name: str, data: np.ndarray) -> None:
-        if name in self.entries:
+    @property
+    def entries(self) -> ParamSet:
+        """The parameters registered so far. Weights registered since the
+        last read are drawn now, in one ``uniform_array`` call over all of
+        them: the walk's draws are consecutive in the stream, so each weight
+        (a view of that draw) and the stream's state after it are what one
+        draw per weight would give."""
+        if self._pending:
+            draw = self.rng.uniform_array(sum(i * o for _, i, o in self._pending))
+            start = 0
+            for name, fan_in, fan_out in self._pending:
+                w = draw[start : start + fan_in * fan_out].reshape(fan_in, fan_out)
+                start += w.size
+                bound = 1.0 / np.sqrt(fan_in)
+                # rounds as Rng.uniform(lo, hi)'s lo + (hi - lo) * u does
+                w *= bound - -bound
+                w += -bound
+                self._entries[name] = Tensor(w, requires_grad=True)
+            self._pending = []
+        return self._entries
+
+    def _add(self, name: str, data) -> None:
+        """``data`` None holds a weight's place in the walk until it is drawn."""
+        if name in self._entries:
             raise ValueError(f"duplicate parameter name {name!r}")
-        self.entries[name] = Tensor(data, requires_grad=True)
+        self._entries[name] = None if data is None else Tensor(data, requires_grad=True)
 
     def weight(self, name: str, fan_in: int, fan_out: int) -> None:
         if self.rng is None:
             self._add(name, np.zeros((fan_in, fan_out)))
             return
-        bound = 1.0 / np.sqrt(fan_in)
-        self._add(name, self.rng.uniform_array((fan_in, fan_out), -bound, bound))
+        self._add(name, None)
+        self._pending.append((name, fan_in, fan_out))
 
     def bias(self, name: str, width: int) -> None:
         self._add(name, np.zeros(width))

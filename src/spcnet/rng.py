@@ -23,6 +23,10 @@ _MASK64 = (1 << 64) - 1
 _INV_2_53 = 1.0 / (1 << 53)
 # draws of at least this many values advance lanes; shorter ones loop
 _LANE_MIN = 1024
+# steps a lane fill buffers before copying them into place
+_LANE_CHUNK = 64
+# lane starts jumped per matrix product
+_JUMP_COLUMNS = 256
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -71,16 +75,21 @@ def _jump(k: int) -> np.ndarray:
 def _lane_starts(state, k: int, lanes: int) -> list:
     """The state 0, L, 2L, ... (lanes - 1) L steps on from ``state``, with
     L = 2^k, as four uint64 arrays (one per word) indexed by lane."""
-    starts = np.empty((256, lanes), dtype=np.float64)
-    starts[:, 0] = _state_bits(state)
+    bits = np.empty((256, lanes), dtype=np.uint8)
+    bits[:, 0] = _state_bits(state)
     made = 1
     while made < lanes:
-        # jump the starts made so far by their count times L
-        ahead = _jump(k) @ starts[:, : min(made, lanes - made)]
-        starts[:, made : made + ahead.shape[1]] = ahead.astype(np.int32) & 1
-        made += ahead.shape[1]
+        # jump the starts made so far by their count times L, a block of
+        # columns at a time, so that only one block is ever held as float64
+        jump = _jump(k)
+        count = min(made, lanes - made)
+        for first in range(0, count, _JUMP_COLUMNS):
+            block = slice(first, min(count, first + _JUMP_COLUMNS))
+            ahead = jump @ bits[:, block].astype(np.float64)
+            bits[:, made + first : made + block.stop] = ahead.astype(np.int32) & 1
+        made += count
         k += 1
-    packed = np.packbits(starts.astype(np.uint8), axis=0, bitorder="little")
+    packed = np.packbits(bits, axis=0, bitorder="little")
     words = np.ascontiguousarray(packed.T).view("<u8")
     return [words[:, w].astype(np.uint64) for w in range(4)]
 
@@ -130,35 +139,42 @@ class Rng:
         return out.reshape(shape)
 
     def _fill_lanes(self, out: np.ndarray, lo: float, span: float) -> None:
-        """Fill ``out`` [lanes, L], L a power of two, row by row from the
-        stream, lane j's i-th value being the stream's value j L + i, and
-        leave the state at the end of the last lane."""
+        """Fill ``out`` [lanes, L], L a power of two, from the stream, lane
+        j's i-th value being the stream's value j L + i, and leave the state
+        at the end of the last lane."""
         lanes, length = out.shape
         s0, s1, s2, s3 = _lane_starts(self._s, length.bit_length() - 1, lanes)
         r = np.empty(lanes, dtype=np.uint64)
         t = np.empty(lanes, dtype=np.uint64)
-        for i in range(length):
-            np.multiply(s1, 5, out=r)
-            np.left_shift(r, 7, out=t)
-            r >>= 57
-            r |= t
-            r *= 9
-            r >>= 11
-            out[:, i] = r
-            np.left_shift(s1, 17, out=t)
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            np.left_shift(s3, 45, out=t)
-            s3 >>= 19
-            s3 |= t
-        # (r >> 11) is exact in float64 and 2^-53 a power of two, so these
-        # round exactly as lo + span * ((r >> 11) * 2^-53) does
-        out *= _INV_2_53
-        out *= span
-        out += lo
+        # each step writes a contiguous row of ``chunk``, and each chunk goes
+        # into ``out`` transposed: a run of values per lane, not a strided
+        # column per step
+        chunk = np.empty((min(length, _LANE_CHUNK), lanes))
+        for start in range(0, length, len(chunk)):
+            rows = chunk[: min(len(chunk), length - start)]
+            for row in rows:
+                np.multiply(s1, 5, out=r)
+                np.left_shift(r, 7, out=t)
+                r >>= 57
+                r |= t
+                r *= 9
+                r >>= 11
+                row[:] = r
+                np.left_shift(s1, 17, out=t)
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                np.left_shift(s3, 45, out=t)
+                s3 >>= 19
+                s3 |= t
+            # (r >> 11) is exact in float64 and 2^-53 a power of two, so these
+            # round exactly as lo + span * ((r >> 11) * 2^-53) does
+            rows *= _INV_2_53
+            rows *= span
+            rows += lo
+            out[:, start : start + len(rows)] = rows.T
         self._s = [int(s0[-1]), int(s1[-1]), int(s2[-1]), int(s3[-1])]
 
     def randrange(self, n: int) -> int:

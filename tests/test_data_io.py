@@ -180,6 +180,15 @@ class TestGenerate:
             load_dataset(out)
         assert str(info.value) == f"{bad}: {message}"
 
+    def test_short_first_file_named_not_the_next(self, tmp_path):
+        out = tmp_path / "data"
+        generate_dataset(out, ["torus", "plane"], 3, 64, 11)
+        first = out / "shape_0000.xyz"
+        first.write_text("".join(first.read_text().splitlines(keepends=True)[:63]))
+        with pytest.raises(ValueError) as info:
+            load_dataset(out)
+        assert str(info.value) == f"{first}: 63 points, but the manifest gives points_per_shape 64"
+
 
 class TestIngest:
     def make_tree(self, tmp_path, with_labels=False, broken=False):

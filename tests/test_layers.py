@@ -405,7 +405,7 @@ class TestFusedConv:
         tensors, nbrs, params = conv_case(kind, q, 30, 4, d, m_out, 98)
         units = m_out + 1 if kind == "adapt" else 1  # generator units and the bias unit
         # 3 rows per backward block: blocks of 3, 3, 3, 3 and a ragged 1
-        monkeypatch.setattr(G, "_BLOCK_BYTES", 8 * m_out * max(units, d) * 3)
+        monkeypatch.setattr(G, "_BLOCK_BYTES", 2 * m_out * max(units, d) * 3)
         counts = []
 
         def counted(rows, row_bytes):
