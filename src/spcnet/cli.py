@@ -47,7 +47,8 @@ def _parse_viewpoint(text: str):
 def _config_values(args) -> dict:
     """Every model-config field value but the point count: the defaults, then
     ``--config``, then ``--missing-ratio`` and ``--loss-mode``.  Each given
-    value is checked here, before any data is read."""
+    value is checked against its field's own rule here, before any data is
+    read; an error in a ``--config`` value names the file."""
     given = {}
     if args.config:
         given = read_json(args.config)
@@ -57,9 +58,13 @@ def _config_values(args) -> dict:
     unknown = set(given) - set(values)
     if unknown:
         raise ValueError(f"{args.config}: unknown config keys: {sorted(unknown)}")
+    for name, value in given.items():
+        try:
+            values[name] = config_value(name, value)
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
     flags = {"missing_ratio": args.missing_ratio, "loss_mode": args.loss_mode}
-    given.update((name, value) for name, value in flags.items() if value is not None)
-    values.update((name, config_value(name, value)) for name, value in given.items())
+    values.update((name, config_value(name, v)) for name, v in flags.items() if v is not None)
     return values
 
 

@@ -102,6 +102,9 @@ def knn(
     ``exclude_self`` defaults to whether ``query is reference``: querying a
     cloud against itself skips each point's own index (so k tops out at
     |reference| - 1); pass an explicit flag when the arrays are copies.
+    Such a search ranks k + 1 references and drops row i's reference i, or
+    its last one where k + 1 others rank first (copies of lower index, or a
+    NaN row's index order): the k nearest of the other points either way.
     """
     self_query = (query is reference) if exclude_self is None else exclude_self
     query = np.asarray(query, dtype=np.float64)
@@ -109,8 +112,13 @@ def knn(
     limit = reference.shape[0] - (1 if self_query else 0)
     if not 1 <= k <= limit:
         raise ValueError(f"knn: k={k} outside [1, {limit}]")
-    skip = np.arange(query.shape[0]) if self_query else None
-    return NeighborGraph(neighbors=_search(query, reference, lambda d2: _k_smallest(d2, k), k, skip))
+    width = k + (1 if self_query else 0)
+    table = _search(query, reference, lambda d2: _k_smallest(d2, width), width)
+    if self_query:
+        drop = table == np.arange(query.shape[0])[:, None]
+        drop[:, -1] |= ~drop.any(axis=1)
+        table = table[~drop].reshape(-1, k)
+    return NeighborGraph(neighbors=table)
 
 
 def _k_smallest(d2: np.ndarray, k: int) -> np.ndarray:
@@ -138,7 +146,7 @@ def nearest_index(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
     reference = np.asarray(reference, dtype=np.float64)
     if reference.shape[0] == 0:
         raise ValueError("nearest_index: reference cloud is empty")
-    return _search(query, reference, lambda d2: d2.argmin(axis=1)[:, None], 1, None)[:, 0]
+    return _search(query, reference, lambda d2: d2.argmin(axis=1)[:, None], 1)[:, 0]
 
 
 # The cell grid (cell lists: Bentley, Stanat & Williams, IPL 1977) runs on
@@ -157,10 +165,10 @@ _BLOCK_OFFSETS = np.array(np.meshgrid(*[(-1, 0, 1)] * 3, indexing="ij")).reshape
 _PAIR_BYTES = 32
 
 
-def _search(query, reference, pick, k, skip):
+def _search(query, reference, pick, k):
     """[q, k] neighbour table: ``pick`` ([rows, c] squared distances to [rows,
     k] columns, ranked by (distance, column)) over each query row's reference
-    points, where row i never takes reference ``skip[i]``.
+    points.
 
     The grid answers each row from the candidates in its query's 3×3×3
     block of cells and keeps the answer where it is certified exact; the
@@ -172,26 +180,20 @@ def _search(query, reference, pick, k, skip):
     out = np.empty((q, k), dtype=np.intp)
     rest = np.arange(q)
     if q * r >= _GRID_MIN_PAIRS and np.isfinite(query_cols).all() and np.isfinite(ref_cols).all():
-        rest = _grid_search(query_cols, ref_cols, pick, k, skip, out)
-    _brute(query_cols, ref_cols, pick, skip, rest, out)
+        rest = _grid_search(query_cols, ref_cols, pick, k, out)
+    _brute(query_cols, ref_cols, pick, rest, out)
     return out
 
 
-def _brute(query_cols, ref_cols, pick, skip, rows, out):
+def _brute(query_cols, ref_cols, pick, rows, out):
     """Fill ``out[rows]`` with ``pick`` over each row's squared distances to
-    every reference point, a ``row_blocks`` block of rows at a time; row i
-    skips reference ``skip[i]`` when there is one."""
-    r = ref_cols.shape[1]
-    for block in row_blocks(rows.size, _PAIR_BYTES * r):
+    every reference point, a ``row_blocks`` block of rows at a time."""
+    for block in row_blocks(rows.size, _PAIR_BYTES * ref_cols.shape[1]):
         idx = rows[block]
-        d2 = _sq_dists(query_cols[:, idx], ref_cols)
-        if skip is not None:
-            own = np.flatnonzero(skip[idx] < r)
-            d2[own, skip[idx[own]]] = np.inf
-        out[idx] = pick(d2)
+        out[idx] = pick(_sq_dists(query_cols[:, idx], ref_cols))
 
 
-def _grid_search(query_cols, ref_cols, pick, k, skip, out):
+def _grid_search(query_cols, ref_cols, pick, k, out):
     """Fill the certified rows of ``out`` from a cell grid over the
     reference cloud; returns the other rows.
 
@@ -240,12 +242,6 @@ def _grid_search(query_cols, ref_cols, pick, k, skip, out):
     candidates = np.append(keys - owner * (r + 1), r)
     begins = np.cumsum(sizes) - sizes
     padded = np.concatenate([ref_cols, np.full((3, 1), np.inf)], axis=1)
-    if skip is not None:
-        # each row's column of its skipped reference in its block, or -1
-        own = cell_of_query * (r + 1) + skip
-        col = np.searchsorted(keys, own)
-        found = (skip < r) & (keys[np.minimum(col, keys.size - 1)] == own)
-        own_col = np.where(found, col - begins[cell_of_query], -1)
     bound = _certified_bound(query_cols, query_cell, lo, side, dims, scale)
 
     # rows by the size of their block, so that each slice of rows pads to
@@ -275,9 +271,6 @@ def _grid_search(query_cols, ref_cols, pick, k, skip, out):
             np.subtract(query_cols[axis, idx, None], step, out=step)
             step *= step
             d2 += step
-        if skip is not None:
-            hit = np.flatnonzero(own_col[idx] >= 0)
-            d2[hit, own_col[idx[hit]]] = np.inf
         picked = pick(d2)
         kth = np.take_along_axis(d2, picked[:, -1:], axis=1)[:, 0]
         out[idx] = table[slot[:, None], picked]

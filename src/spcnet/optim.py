@@ -36,7 +36,7 @@ class AdamState:
         )
 
 
-def adam_step(params: ParamSet, state: AdamState, lr: float = 1e-4) -> None:
+def adam_step(params: ParamSet, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update; grads are read, not cleared."""
     missing = [k for k, p in params.items() if p.grad is None]
     if missing:

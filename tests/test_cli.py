@@ -15,7 +15,7 @@ import spcnet.training
 from spcnet.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from spcnet.cli import main
 from spcnet.data import generate_dataset, read_xyz, write_xyz
-from spcnet.model import ModelConfig, init_params
+from spcnet.model import ModelConfig, config_value, init_params
 from test_checkpoint import mutated
 
 TINY_OVERRIDES = {
@@ -261,9 +261,15 @@ class TestTrain:
             "train", "--data", str(tmp_path), "--out", str(tmp_path / "m.spcn"),
             "--epochs", "1", "--config", str(bad),
         ]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.endswith(f"{message}\n")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+    def test_bad_flag_value_names_no_file(self, tmp_path, config_file, capsys):
+        capsys.readouterr()
+        assert main([
+            "train", "--data", str(tmp_path), "--out", str(tmp_path / "m.spcn"),
+            "--epochs", "1", "--config", str(config_file), "--missing-ratio", "1.5",
+        ]) == 1
+        assert capsys.readouterr().err == "error: missing_ratio must be in (0, 1), got 1.5\n"
 
     def test_bad_grid_count_is_reported_when_the_config_is_built(
         self, tmp_path, data_dir, capsys
@@ -278,7 +284,7 @@ class TestTrain:
             "--epochs", "1", "--config", str(bad),
         ]) == 1
         assert capsys.readouterr().err == (
-            "error: grid_count must be a positive perfect square, got -4\n"
+            f"error: {bad}: grid_count must be a positive perfect square, got -4\n"
         )
         assert not (tmp_path / "m.spcn").exists()
 
@@ -390,20 +396,26 @@ def train_inputs(tmp_path_factory):
     return root
 
 
-def known_fields_object(blob: bytes) -> bool:
-    """Whether ``blob`` is a JSON object whose keys are all config fields."""
+def rule_abiding_object(blob: bytes) -> bool:
+    """Whether ``blob`` is a JSON object of config fields whose values each
+    keep their own field's rule."""
     try:
         given = json.loads(blob.decode("utf-8"))
+        if not (isinstance(given, dict) and set(given) <= {f.name for f in fields(ModelConfig)}):
+            return False
+        for name, value in given.items():
+            config_value(name, value)
     except ValueError:
         return False
-    return isinstance(given, dict) and set(given) <= {f.name for f in fields(ModelConfig)}
+    return True
 
 
 class TestMutatedInputs:
     """Whatever bytes a dataset file or the --config file holds, ``train``
     reaches training or exits 1 with one ``error:`` line that names the
-    file. Where the mutated config is still an object of known fields, the
-    line is the value's own message instead, the one a flag would give."""
+    file. Where every value of the mutated config keeps its own field's
+    rule, a rule between fields may fail instead, with the message a flag,
+    the dataset or the variant would give."""
 
     @pytest.mark.parametrize("name", ["data/shape_0001.xyz", "data/manifest.json", "config.json"])
     @given(data=st.data())
@@ -428,7 +440,7 @@ class TestMutatedInputs:
         if name == "data/manifest.json":
             # the manifest, or a file it names
             assert str(path.parent) in line, line
-        elif not (name == "config.json" and known_fields_object(bad)):
+        elif not (name == "config.json" and rule_abiding_object(bad)):
             assert str(path) in line, line
 
 

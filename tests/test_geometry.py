@@ -295,9 +295,9 @@ def with_fallback(call):
     sent = []
     brute = geometry._brute
 
-    def counting(query_cols, ref_cols, pick, skip, rows, out):
+    def counting(query_cols, ref_cols, pick, rows, out):
         sent.append(rows)
-        brute(query_cols, ref_cols, pick, skip, rows, out)
+        brute(query_cols, ref_cols, pick, rows, out)
 
     geometry._brute = counting
     try:
@@ -451,6 +451,15 @@ class TestCellGrid:
         assert np.isin(np.arange(1500, 2048), sent, invert=True).all()
         assert check_nearest(pts, pts).size < 2048
 
+    @pytest.mark.parametrize("n, copies, k", [(40, 10, 5), (2048, 24, 16)])
+    def test_k_plus_one_coincident_copies(self, n, copies, k):
+        # copies of one point at rows 0, 2, 4, ...: the later copies' k + 1
+        # nearest are all lower-index copies, which come before the row itself
+        pts = cloud(n, 50)
+        pts[:2 * copies:2] = pts[0]
+        sent = check_knn(pts, pts, k, exclude_self=True)
+        assert n * n < geometry._GRID_MIN_PAIRS or sent.size < n
+
     def test_one_point_per_cell(self, monkeypatch):
         # with one point per cell asked for, a jittered 16³ lattice puts
         # each point in a cell of its own
@@ -522,6 +531,17 @@ class TestNonFinite:
         table = knn(query, reference, k).neighbors
         assert not np.isin(table, bad).any()
         np.testing.assert_array_equal(table, reference_table(query, reference, k, False))
+
+    @pytest.mark.parametrize("n, k", [(7, 3), (2048, 16)])
+    def test_nan_row_of_a_self_query_never_names_itself(self, n, k):
+        # every distance of a NaN row is NaN, so it ranks the other points
+        # by index; the finite rows rank the NaN point last
+        pts = cloud(n, 36)
+        pts[4, 2] = np.nan
+        table = knn(pts, pts, k).neighbors
+        assert not (table == np.arange(n)[:, None]).any()
+        np.testing.assert_array_equal(table[4], np.setdiff1d(np.arange(k + 1), 4)[:k])
+        np.testing.assert_array_equal(table, reference_table(pts, pts, k, True))
 
 
 def split_indices(pts, viewpoint, ratio):

@@ -59,13 +59,13 @@ def test_missing_grad_rejected():
     params = {"p": Tensor(np.zeros(2), requires_grad=True)}
     state = AdamState.for_params(params)
     with pytest.raises(ValueError, match="missing gradient"):
-        adam_step(params, state)
+        adam_step(params, state, lr=1e-4)
 
 
 def test_grads_left_intact_for_inspection():
     params = single_param(0.0, 1.0)
     state = AdamState.for_params(params)
-    adam_step(params, state)
+    adam_step(params, state, lr=1e-4)
     assert params["p"].grad[0] == 1.0
 
 
