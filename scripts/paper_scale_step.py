@@ -6,7 +6,9 @@ one procedural shape is split at a cube corner, scored by the training loss,
 and back-propagated. Prints the parameter count, the init time and the
 process's peak resident memory right after init, the forward and backward
 wall times, and the peak of the memory ``tracemalloc`` traces over both (the
-parameters, made before tracing starts, are not in it; their gradients are).
+parameters, made before tracing starts, are not in it; their gradients are),
+with the number of threads large conv forwards ran on (one per CPU the
+process may use; ``taskset`` narrows them).
 
     PYTHONPATH=src python3 scripts/paper_scale_step.py
 """
@@ -15,6 +17,7 @@ import resource
 import time
 import tracemalloc
 
+from spcnet import layers
 from spcnet.data import generate_shapes
 from spcnet.geometry import viewpoint_split
 from spcnet.model import ModelConfig, init_params, spcnet_forward
@@ -54,7 +57,10 @@ def main():
         f"parameters {count / 1e6:.1f} M ({count * 8 / 2**20:.0f} MB; init {init_s:.1f} s, "
         f"peak RSS after init {init_rss_mb:.0f} MB), loss {loss.item():.6g}"
     )
-    print(f"forward {forward_s:.2f} s, backward {backward_s:.2f} s, traced peak {peak_mb:.0f} MB")
+    print(
+        f"forward {forward_s:.2f} s ({layers._WORKERS} conv forward workers), "
+        f"backward {backward_s:.2f} s, traced peak {peak_mb:.0f} MB"
+    )
 
 
 if __name__ == "__main__":

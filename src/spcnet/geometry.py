@@ -50,16 +50,24 @@ def _sq_dists(query_cols: np.ndarray, ref_cols: np.ndarray) -> np.ndarray:
     return d2
 
 
-def fps(cloud: np.ndarray, n: int) -> np.ndarray:
+def fps(cloud: np.ndarray, n: int, graph: NeighborGraph | None = None) -> np.ndarray:
     """Greedy max-min (farthest point) sampling; indices in selection order.
 
     Starts from the point nearest the cloud centroid; each later pick
     maximizes the squared distance to the already-selected set.
+
+    ``graph``, the cloud's ``knn`` graph on itself, gives the same picks in
+    less time: where a pick p's distance to the set is at most its distance
+    to its last neighbour, every point outside p's row is at least that far
+    from p and no nearer the set than p is, so only the row's distances can
+    fall.  A non-finite cloud ignores the graph.
     """
     cloud = np.asarray(cloud, dtype=np.float64)
     total = cloud.shape[0]
     if not 1 <= n <= total:
         raise ValueError(f"fps: target count {n} outside [1, {total}]")
+    if graph is not None and graph.neighbors.shape[0] != total:
+        raise ValueError(f"fps: graph covers {graph.neighbors.shape[0]} of {total} points")
     cols = _columns(cloud)
     centroid = cloud.mean(axis=0)
     start = int(np.argmin(_sq_dists(centroid[:, None], cols)))
@@ -67,16 +75,34 @@ def fps(cloud: np.ndarray, n: int) -> np.ndarray:
     selected[0] = start
     dmin = _sq_dists(cols[:, start:start + 1], cols)[0]
     diff, d2 = np.empty_like(cols), np.empty_like(dmin)
+    local = graph is not None and graph.neighbors.shape[1] > 0 and np.isfinite(cols).all()
+    if local:
+        rows = graph.neighbors
+        # each point's squared distances to its row, in the full update's steps
+        near = cols[:, rows] - cols[:, :, None]
+        near *= near
+        near = (near[0] + near[1]) + near[2]
     for i in range(1, n):
         nxt = dmin.argmax()
         selected[i] = nxt
-        # _sq_dists to one point, in fewer calls: (dx² + dy²) + dz²
-        np.subtract(cols, cols[:, nxt:nxt + 1], out=diff)
-        diff *= diff
-        np.add(diff[0], diff[1], out=d2)
-        d2 += diff[2]
-        np.minimum(dmin, d2, out=dmin)
+        if local and dmin[nxt] <= near[nxt, -1]:
+            row = rows[nxt]
+            dmin[row] = np.minimum(dmin[row], near[nxt])
+            dmin[nxt] = 0.0
+            continue
+        _lower_to_point(dmin, cols, nxt, diff, d2)
     return selected
+
+
+def _lower_to_point(dmin, cols, p, diff, d2):
+    """Lower ``dmin`` to each point's squared distance to point ``p``:
+    ``_sq_dists`` to one point, in fewer calls, (dx² + dy²) + dz², with
+    ``diff`` and ``d2`` as scratch."""
+    np.subtract(cols, cols[:, p:p + 1], out=diff)
+    diff *= diff
+    np.add(diff[0], diff[1], out=d2)
+    d2 += diff[2]
+    np.minimum(dmin, d2, out=dmin)
 
 
 def rps(cloud: np.ndarray, n: int, rng: Rng) -> np.ndarray:

@@ -29,6 +29,12 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
+def recording(parents) -> bool:
+    """Whether the tape records an op over ``parents``: recording is on and
+    some parent is tracked."""
+    return _grad_enabled.get() and any(p._tracked() for p in parents)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the original shape."""
     while grad.ndim > len(shape):
@@ -61,7 +67,7 @@ class Tensor:
     @staticmethod
     def _node(data: np.ndarray, parents: tuple, backward) -> "Tensor":
         out = Tensor(data)
-        if _grad_enabled.get() and any(p._tracked() for p in parents):
+        if recording(parents):
             out._parents = parents
             out._backward = backward
         return out

@@ -148,6 +148,49 @@ class TestFps:
         achieved = covering_radius(list(fps(pts, n_pick)))
         assert achieved <= 2.0 * optimal + 1e-12
 
+    @pytest.mark.parametrize("kind", data.SHAPE_KINDS)
+    @pytest.mark.parametrize("k", [16, 3])
+    def test_self_graph_gives_the_same_picks(self, kind, k):
+        (_, pts), = data.generate_shapes([kind], 1, 1024, 8).shapes
+        graph = knn(pts, pts, k)
+        for count in (512, 64, 1024):
+            np.testing.assert_array_equal(fps(pts, count, graph), fps(pts, count))
+
+    def test_self_graph_spares_most_full_updates(self, monkeypatch):
+        # a pick whose distance to the set is within its last neighbour's
+        # updates only its own row; on a 1024-point shape with 16 neighbours
+        # about 4 in 5 picks do
+        full = []
+        update = geometry._lower_to_point
+        monkeypatch.setattr(
+            geometry, "_lower_to_point", lambda *args: full.append(1) or update(*args)
+        )
+        for kind in data.SHAPE_KINDS:
+            (_, pts), = data.generate_shapes([kind], 1, 1024, 8).shapes
+            graph = knn(pts, pts, 16)
+            full.clear()
+            fps(pts, 512, graph)
+            assert len(full) < 511 / 4, kind
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_self_graph_with_coincident_points(self, k):
+        # copies of a point hold each other in their rows at distance zero
+        pts = cloud(60, 9)[np.arange(180) % 60]
+        pts[150:] = pts[5]
+        graph = knn(pts, pts, k)
+        for count in (30, 60, 180):
+            np.testing.assert_array_equal(fps(pts, count, graph), fps(pts, count))
+
+    def test_self_graph_of_a_non_finite_cloud(self):
+        pts = cloud(80, 10)
+        pts[[7, 30], 1] = np.nan
+        np.testing.assert_array_equal(fps(pts, 40, knn(pts, pts, 4)), fps(pts, 40))
+
+    def test_graph_of_another_size_rejected(self):
+        pts = cloud(30, 11)
+        with pytest.raises(ValueError, match="graph covers 20"):
+            fps(pts, 10, knn(pts[:20], pts[:20], 4))
+
 
 class TestRps:
     def test_full_count_is_permutation(self):

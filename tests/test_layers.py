@@ -1,4 +1,8 @@
 """Neural building blocks against naive per-edge references."""
+import multiprocessing
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -452,6 +456,125 @@ class TestFusedConv:
         assert all(p._backward is None for p in out._parents)
 
 
+def same_bits(a, b):
+    """Equal arrays, bit for bit: -0.0 and 0.0 differ here."""
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def over_the_rule(kind, k, m_out, monkeypatch):
+    """Shrink the block budget so a conv of 29 centres with k neighbours
+    runs on the workers, in blocks of 2 rows at two workers: 15 blocks, the
+    last ragged, in runs of 7 and 8."""
+    units = m_out + 1 if kind == "adapt" else 1
+    row_bytes = 8 * k * m_out * units
+    monkeypatch.setattr(G, "_BLOCK_BYTES", row_bytes * 4)
+    assert 29 * row_bytes >= L._PARALLEL_BLOCKS * G._BLOCK_BYTES
+
+
+def forward_on(workers, monkeypatch, kind, tensors, nbrs, params, m_out, taped):
+    """Output, and taped the gradients, of the fused conv on ``workers``
+    threads."""
+    monkeypatch.setattr(L, "_WORKERS", workers)
+    if taped:
+        return run_conv(L._conv_over_edges, kind, tensors, nbrs, params, m_out, 5)
+    with T.no_grad():
+        out = L._conv_over_edges(kind, *tensors, nbrs, params, "c", m_out)
+    assert out._backward is None
+    return out.data, []
+
+
+@pytest.mark.parametrize("kind", ["adapt", "edge"])
+class TestParallelForward:
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_worker_counts_give_the_serial_bits(self, kind, taped, monkeypatch):
+        # fresh inputs per case, and the parallel forwards first, so no
+        # buffer of an earlier identical forward can stand in for a run
+        tensors, nbrs, params = conv_case(kind, 29, 40, 4, 3, 4, 300 + taped)
+        over_the_rule(kind, 4, 4, monkeypatch)
+        runs = [
+            forward_on(w, monkeypatch, kind, tensors, nbrs, params, 4, taped) for w in (2, 3, 1)
+        ]
+        for out, grads in runs[:2]:
+            same_bits(out, runs[2][0])
+            for a, b in zip(grads, runs[2][1]):
+                if b is None:
+                    assert a is None
+                else:
+                    same_bits(a, b)
+        assert_matches_composite(kind, tensors, nbrs, params, 4)
+
+    def test_workers_share_no_buffer(self, kind, monkeypatch):
+        # more workers than CPUs, many blocks per run and a short switch
+        # interval, so that threads interleave inside their runs
+        workers = (os.cpu_count() or 1) + 2
+        tensors, nbrs, params = conv_case(kind, 400, 400, 8, 6, 16, 310, pool=False)
+        serial = forward_on(1, monkeypatch, kind, tensors, nbrs, params, 16, False)[0]
+        row_bytes = 8 * 8 * 16 * (17 if kind == "adapt" else 1)
+        monkeypatch.setattr(G, "_BLOCK_BYTES", row_bytes * 2 * workers)  # 2 rows a block
+        monkeypatch.setattr(L, "_pool", None)  # a pool of this many workers
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                out = forward_on(workers, monkeypatch, kind, tensors, nbrs, params, 16, False)[0]
+                same_bits(out, serial)
+        finally:
+            sys.setswitchinterval(interval)
+            if L._pool is not None:
+                L._pool.shutdown()
+
+    def test_untaped_forward_is_the_taped_one(self, kind, monkeypatch):
+        tensors, nbrs, params = conv_case(kind, 29, 40, 4, 3, 4, 320)
+        over_the_rule(kind, 4, 4, monkeypatch)
+        for workers in (1, 2):
+            taped = forward_on(workers, monkeypatch, kind, tensors, nbrs, params, 4, True)[0]
+            untaped = forward_on(workers, monkeypatch, kind, tensors, nbrs, params, 4, False)[0]
+            same_bits(untaped, taped)
+
+    def test_exact_zero_responses(self, kind, monkeypatch):
+        # zero features (-0.0 among them): EdgeConv's responses are all exact
+        # zeros, every edge ties, and the max must not depend on the tape
+        tensors, nbrs, params = conv_case(kind, 29, 40, 4, 1, 4, 330)
+        for t in tensors[1], tensors[3]:
+            t.data[:] = 0.0
+            t.data[::3] = -0.0
+        over_the_rule(kind, 4, 4, monkeypatch)
+        taped = forward_on(2, monkeypatch, kind, tensors, nbrs, params, 4, True)[0]
+        untaped = forward_on(2, monkeypatch, kind, tensors, nbrs, params, 4, False)[0]
+        if kind == "edge":
+            assert (taped == 0.0).all()
+        same_bits(untaped, taped)
+
+    def test_small_forward_stays_on_the_calling_thread(self, kind, monkeypatch):
+        tensors, nbrs, params = conv_case(kind, 29, 40, 4, 3, 4, 340)
+        monkeypatch.setattr(L, "_executor", None)  # calling it would raise
+        forward_on(2, monkeypatch, kind, tensors, nbrs, params, 4, True)
+
+    def test_forked_child_runs_a_parallel_forward(self, kind, monkeypatch):
+        tensors, nbrs, params = conv_case(kind, 29, 40, 4, 3, 4, 350)
+        over_the_rule(kind, 4, 4, monkeypatch)
+        expected = forward_on(2, monkeypatch, kind, tensors, nbrs, params, 4, False)[0]
+        assert L._pool is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=_forward_or_fail, args=(kind, tensors, nbrs, params, expected)
+        )
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the forked child's parallel forward did not finish in 60 s")
+        assert child.exitcode == 0
+
+
+def _forward_or_fail(kind, tensors, nbrs, params, expected):
+    """A forked child's parallel forward; exits non-zero on other bits."""
+    with T.no_grad():
+        out = L._conv_over_edges(kind, *tensors, nbrs, params, "c", 4).data
+    sys.exit(0 if np.array_equal(out.view(np.uint64), expected.view(np.uint64)) else 1)
+
+
 class TestGraphPool:
     def make(self, n, d_in, d_out, seed):
         pb = ParamBuilder(Rng(seed))
@@ -546,6 +669,20 @@ class TestGraphPool:
         assert 7 in idx
         searched = knn(pts[idx], pts, 8, exclude_self=False).neighbors
         np.testing.assert_array_equal(table, searched)
+
+    def test_pool_samples_over_the_graph(self, monkeypatch):
+        graphs = []
+
+        def spy(cloud, n, graph=None):
+            graphs.append(graph)
+            return fps(cloud, n, graph)
+
+        monkeypatch.setattr(L, "fps", spy)
+        pts, fs, params = self.make(32, 2, 3, 19)
+        graph = self_graph(pts, 5)
+        L.graph_pool(Tensor(pts), Tensor(fs), 16, 5, params, "p", 3, "adapt", graph)
+        L.graph_pool(Tensor(pts), Tensor(fs), 16, 5, params, "p", 3, "adapt")
+        assert graphs[0] is graph and graphs[1] is None
 
     @pytest.mark.parametrize("graph_k, graph_n", [(3, 32), (8, 20), (8, 40)])
     def test_graph_too_narrow_or_small_rejected(self, graph_k, graph_n):
