@@ -5,10 +5,11 @@ The default ModelConfig (2048 points, width_scale 1.0, knn_k 16, 1L loss):
 one procedural shape is split at a cube corner, scored by the training loss,
 and back-propagated. Prints the parameter count, the init time and the
 process's peak resident memory right after init, the forward and backward
-wall times, and the peak of the memory ``tracemalloc`` traces over both (the
-parameters, made before tracing starts, are not in it; their gradients are),
-with the number of threads large conv forwards ran on (one per CPU the
-process may use; ``taskset`` narrows them).
+wall times with the number of threads large conv forwards ran on (one per
+CPU the process may use; ``taskset`` narrows them), and three figures of the
+memory ``tracemalloc`` traces (the parameters, made before tracing starts,
+are not in it; their gradients are): the forward's peak, what the forward
+leaves held (the tape and the loss), and the backward's own peak.
 
     PYTHONPATH=src python3 scripts/paper_scale_step.py
 """
@@ -46,10 +47,12 @@ def main():
     started = time.perf_counter()
     loss, _ = cycle_total_loss(forward, forward, p_n, p_m, LossWeights(), config.loss_mode)
     forward_s = time.perf_counter() - started
+    tape_mb, forward_peak_mb = (b / 2**20 for b in tracemalloc.get_traced_memory())
+    tracemalloc.reset_peak()
     started = time.perf_counter()
     backward(loss)
     backward_s = time.perf_counter() - started
-    peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    backward_peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
 
     count = sum(p.data.size for p in params.values())
@@ -59,7 +62,11 @@ def main():
     )
     print(
         f"forward {forward_s:.2f} s ({layers._WORKERS} conv forward workers), "
-        f"backward {backward_s:.2f} s, traced peak {peak_mb:.0f} MB"
+        f"backward {backward_s:.2f} s"
+    )
+    print(
+        f"traced: forward peak {forward_peak_mb:.0f} MB, tape after forward {tape_mb:.0f} MB, "
+        f"backward peak {backward_peak_mb:.0f} MB"
     )
 
 

@@ -8,6 +8,7 @@ geometry.
 """
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
@@ -60,8 +61,12 @@ def read_xyz(path, extra_columns: bool = False) -> np.ndarray:
     at least three fields, of which the extras (labels, normals) are
     ignored.  Every coordinate must be a finite number; errors name the line.
     """
+    contents = read_text(path)
+    plain = _read_plain_xyz(contents)
+    if plain is not None:
+        return plain
     points = []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(contents.split("\n"), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -76,6 +81,24 @@ def read_xyz(path, extra_columns: bool = False) -> np.ndarray:
             raise ValueError(f"{path}:{lineno}: non-finite coordinate")
         points.append(point)
     return np.asarray(points, dtype=np.float64).reshape(-1, 3)
+
+
+def _read_plain_xyz(text: str) -> np.ndarray | None:
+    """The points of ``text`` read by numpy in one pass, when every line is
+    blank or three finite numbers; None wherever ``read_xyz``'s line loop
+    might read otherwise or fail.  Both parse with Python's correctly
+    rounded conversion; ASCII only, since ``float`` also takes other digits
+    and ``str.split`` other spaces, and no comments, underscores or extra
+    columns, which numpy rejects here."""
+    if not text.isascii() or not text.strip():
+        return None
+    try:
+        points = np.loadtxt(io.StringIO(text), dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if points.shape[1] != 3 or not np.isfinite(points).all():
+        return None
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,19 @@ _WORKERS = (
 # interleaved in-process calls each).  At 2048 points the convs from 4
 # blocks up (8.5 MB and more) ran 25-40 % faster.
 _PARALLEL_BLOCKS = 4
+# A forward projects its centres a chunk of whole blocks of at least this
+# many rows at a time, so that each product reads the weights once per chunk.
+# Measured on a 2-vCPU Xeon with one BLAS thread: per row, products of 8
+# rows cost 1.3-2.7x the whole projection's, and of 32 rows 0.67-0.97x at
+# the benchmark's widths and 1.33x at a paper-scale pool2 (1.06x at 64 rows,
+# 0.91x at 128).  Yet no-grad paper-scale forwards (3 interleaved in one
+# process each) took 6.1-6.5 s at 32 rows, 6.2-7.6 s at 64 and 6.5-7.6 s at
+# 128, with traced peaks of 650, 671 and 736 MB.
+_CHUNK_ROWS = 32
+# The weights' layout is copied this many outputs at a time: for a
+# paper-scale pool2's forward, 0.44 s in one pass and 0.29-0.33 s in blocks
+# of 1 to 32 outputs.
+_LAYOUT_OUTPUTS = 32
 _pool = None
 
 
@@ -170,9 +183,11 @@ def _conv_over_edges(
     ``sum_u hid[e, u] (A[i] + B[j])[o, u]`` with ``A = f_c W_c`` and
     ``B = f_r W_r``.  EdgeConv is the kernel with no generator units: its
     ``theta`` is the bias unit's row, and its coordinates get no gradient.
-    Forward builds per-edge arrays one block of centres at a time, on
-    ``_WORKERS`` threads when they are large (each thread a contiguous run
-    of blocks, bits unchanged), and keeps the max; with a tape it keeps the
+    Forward projects the references whole, since edges gather them at
+    random, and the centres a chunk of whole blocks at a time.  It builds
+    per-edge arrays one block of centres at a time, on ``_WORKERS`` threads
+    when they are large (each thread a contiguous run of chunks, bits
+    unchanged), and keeps the max; with a tape it keeps the
     argmax too (ties to the lowest neighbour slot).  Backward needs only the
     max edges: it recomputes their hidden units and responses from the
     inputs, and contracts with the weights before scattering to the
@@ -192,79 +207,108 @@ def _conv_over_edges(
         theta = params[f"{prefix}.theta"]
         parents = (center_feats, ref_feats, theta)
         w0, b0, w1 = np.empty((6, 0)), np.empty(0), np.empty((0, 2 * d * m_out))
-        b1 = theta.data.T.reshape(-1)
+        b1 = theta.data.T
     units = w0.shape[1] + 1
     w0_r = w0[3:]
     w0_c = w0[:3] - w0_r
     xc, fc, xr, fr = center_coords.data, center_feats.data, ref_coords.data, ref_feats.data
 
-    def factored_weights():
-        """[m_out, d, units] weights of the centre and reference projections
+    def factored_weights(rows_first):
+        """[m_out, d, units] weights of the centre and reference projections,
+        laid out [d, m_out, units] in memory when ``rows_first`` and as
+        shaped otherwise, made from the generator's weight rows and bias row
         (recomputed in backward rather than held on the tape)."""
-        kernel = np.vstack([w1, b1[None]]).reshape(units, m_out, 2 * d)
-        w_r = np.ascontiguousarray(kernel[:, :, d:].transpose(1, 2, 0))
-        return kernel[:, :, :d].transpose(1, 2, 0) - w_r, w_r
+        shape = (d, m_out, units) if rows_first else (m_out, d, units)
+        w_c, w_r = np.empty(shape), np.empty(shape)
+        if rows_first:
+            w_c, w_r = w_c.transpose(1, 0, 2), w_r.transpose(1, 0, 2)
+        kernels = [  # [m_out, 2d, rows] views of the kernel rows
+            (src.reshape(-1, m_out, 2 * d).transpose(1, 2, 0), cols)
+            for src, cols in ((w1, np.s_[..., :-1]), (b1, np.s_[..., -1:]))
+        ]
+        for o in range(0, m_out, _LAYOUT_OUTPUTS):
+            outs = slice(o, o + _LAYOUT_OUTPUTS)
+            for kernel, cols in kernels:
+                top, bot = kernel[outs, :d], kernel[outs, d:]
+                w_r[outs][cols] = bot
+                np.subtract(top, bot, out=w_c[outs][cols])
+        return w_c, w_r
 
     def generator_inputs():
         return xc @ w0_c + b0, xr @ w0_r
 
-    def project(f, w):
-        """[points, m_out, units] projection of features ``f``."""
-        return (f @ w.transpose(1, 0, 2).reshape(d, -1)).reshape(-1, m_out, units)
-
-    w_c, w_r = factored_weights()
-    proj_c, proj_r = project(fc, w_c), project(fr, w_r)
+    # [d, m_out * units] views of the weights, whose product gives a
+    # projection's rows: the adaptive kernel's are laid out so, and
+    # EdgeConv's are [m_out, d] read transposed (BLAS rounds by the layout)
+    w_c, w_r = (w.transpose(1, 0, 2).reshape(d, -1) for w in factored_weights(units > 1))
+    proj_r = (fr @ w_r).reshape(-1, m_out, units)
+    del w_r
     hid_c, hid_r = generator_inputs()
 
     taped = T.recording(parents)
     row_bytes = 8 * k * m_out * units  # one centre's per-edge responses
     parallel = q * row_bytes >= _PARALLEL_BLOCKS * geometry._BLOCK_BYTES
     workers = _WORKERS if parallel else 1
+    # The centre projection is made a chunk of one worker's whole blocks at
+    # a time, whatever the worker count, for BLAS rounds a product's rows by
+    # the rows it is given; and of two rows or more, for a one-row product
+    # takes BLAS's matrix-vector kernel, which rounds otherwise again.
+    block = row_blocks(q, row_bytes)[0].stop
+    size = -(-max(_CHUNK_ROWS, 2) // block) * block
+    chunks = [slice(i, min(q, i + size)) for i in range(0, q, size)]
+    if len(chunks) > 1 and chunks[-1].stop - chunks[-1].start == 1:
+        chunks[-2:] = [slice(chunks[-2].start, q)]  # a lone last row joins the chunk before it
     # the workers share one budget: each block takes 1 / workers of it
-    blocks = row_blocks(q, row_bytes * workers)
-    step = blocks[0].stop
+    step = -(-block // workers)
     best = np.empty((q, m_out))
     arg = np.empty((q, m_out), dtype=np.intp) if taped else None
 
     def buffers():
-        """Per-edge responses, pre-activations, hidden units (bias unit set
-        here, once) and their product, for one thread's blocks."""
+        """A chunk's centre projection, and per-edge responses,
+        pre-activations, hidden units (bias unit set here, once) and their
+        product, for one thread's blocks."""
+        a = np.empty((min(q, size + 1), m_out * units))
         z = np.empty((step, k, m_out, units))
         if units == 1:
-            return z, None, None, None
+            return a, z, None, None, None
         hid = np.empty((step, k, units))
         hid[..., -1] = 1.0
-        return z, np.empty((step, k, units - 1)), hid, np.empty((step, k, m_out, 1))
+        return a, z, np.empty((step, k, units - 1)), hid, np.empty((step, k, m_out, 1))
 
-    def run(blocks, z_buf, pre_buf, hid_buf, prod_buf):
-        """Fill ``best`` (and ``arg``, taped) over ``blocks``; numpy only, so
+    def run(chunks, a_buf, z_buf, pre_buf, hid_buf, prod_buf):
+        """Fill ``best`` (and ``arg``, taped) over ``chunks``; numpy only, so
         a worker records no tape and no span."""
-        for rows in blocks:
-            b = rows.stop - rows.start
-            nbrs = neighbors[rows]
-            # "clip" skips take's buffered bounds check; the indices were checked
-            z = np.take(proj_r, nbrs, axis=0, out=z_buf[:b], mode="clip")
-            z += proj_c[rows, None]
-            if units > 1:
-                pre = np.take(hid_r, nbrs, axis=0, out=pre_buf[:b], mode="clip")
-                pre += hid_c[rows, None]
-                hid = hid_buf[:b, :, :-1]
-                np.multiply(pre, EDGE_SLOPE, out=hid)
-                np.maximum(pre, hid, out=hid)  # leaky relu, as _hidden_units
-                h = np.matmul(z, hid_buf[:b, ..., None], out=prod_buf[:b])[..., 0]
-            else:
-                h = z[..., 0]  # the one unit is the constant 1, and z·1 = z
-            np.max(h, axis=1, out=best[rows])
-            if taped:  # ties to the lowest neighbour slot
-                np.argmax(h, axis=1, out=arg[rows])
+        for chunk in chunks:
+            start, stop = chunk.start, chunk.stop
+            proj_c = np.matmul(fc[chunk], w_c, out=a_buf[: stop - start])
+            proj_c = proj_c.reshape(-1, m_out, units)
+            for first in range(start, stop, step):
+                rows = slice(first, min(first + step, stop))
+                b = rows.stop - first
+                nbrs = neighbors[rows]
+                # "clip" skips take's buffered bounds check; the indices were checked
+                z = np.take(proj_r, nbrs, axis=0, out=z_buf[:b], mode="clip")
+                z += proj_c[first - start : rows.stop - start, None]
+                if units > 1:
+                    pre = np.take(hid_r, nbrs, axis=0, out=pre_buf[:b], mode="clip")
+                    pre += hid_c[rows, None]
+                    hid = hid_buf[:b, :, :-1]
+                    np.multiply(pre, EDGE_SLOPE, out=hid)
+                    np.maximum(pre, hid, out=hid)  # leaky relu, as _hidden_units
+                    h = np.matmul(z, hid_buf[:b, ..., None], out=prod_buf[:b])[..., 0]
+                else:
+                    h = z[..., 0]  # the one unit is the constant 1, and z·1 = z
+                np.max(h, axis=1, out=best[rows])
+                if taped:  # ties to the lowest neighbour slot
+                    np.argmax(h, axis=1, out=arg[rows])
 
     if workers == 1:
-        run(blocks, *buffers())
+        run(chunks, *buffers())
     else:
-        # one contiguous run of blocks per worker, each with its own buffers
-        cuts = [len(blocks) * i // workers for i in range(workers + 1)]
+        # one contiguous run of chunks per worker, each with its own buffers
+        cuts = [len(chunks) * i // workers for i in range(workers + 1)]
         jobs = [
-            _executor().submit(run, blocks[a:b], *buffers())
+            _executor().submit(run, chunks[a:b], *buffers())
             for a, b in zip(cuts, cuts[1:]) if a < b
         ]
         wait(jobs)  # every run ends before any error is raised
@@ -275,7 +319,7 @@ def _conv_over_edges(
     def bwd(g):
         # leaky keeps the sign, so the output gives the slope at the max
         g_h = (g * _leaky_factor(out_data)).T[:, :, None]  # [m_out, q, 1]
-        w_c, w_r = factored_weights()
+        w_c, w_r = factored_weights(False)
         hid_c, hid_r = generator_inputs()
         g_fc = np.empty_like(fc)
         g_fr = np.zeros_like(fr)

@@ -73,6 +73,24 @@ class TestXyz:
         with pytest.raises(ValueError, match=r":1:"):
             read_xyz(path, extra_columns=True)
 
+    @pytest.mark.parametrize("text", [
+        " 1e3\t-0.0 +.5 \n\n5e-324 0.1 -7\n",  # numpy's one-pass parse
+        "1_0 2 3\n",  # float takes an underscore and other digits, numpy not
+        "\u0661 2 3\n",
+        "1\u00a02 3\n",  # and str.split a no-break space
+    ])
+    def test_values_are_the_line_loops(self, tmp_path, text):
+        path = tmp_path / "c.xyz"
+        path.write_text(text, encoding="utf-8")
+        loop = [[float(v) for v in line.split()] for line in text.split("\n") if line.strip()]
+        np.testing.assert_array_equal(read_xyz(path).view(np.uint64), np.array(loop).view(np.uint64))
+
+    def test_comment_after_the_coordinates_names_line(self, tmp_path):
+        path = tmp_path / "bad.xyz"
+        path.write_text("1 2 3\n4 5 6 # note\n")
+        with pytest.raises(ValueError, match=r":2: expected 3 coordinates, got 5"):
+            read_xyz(path)
+
 
     def test_write_matches_per_row_text(self, tmp_path):
         # signed zeros, a subnormal and a huge value print as the f-string

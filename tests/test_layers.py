@@ -1,7 +1,10 @@
 """Neural building blocks against naive per-edge references."""
+import contextlib
+import itertools
 import multiprocessing
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,12 +425,35 @@ class TestFusedConv:
         assert len(counts) == 2 and counts[1] == 5  # the forward's blocks, then the backward's
 
     def test_forward_bits_independent_of_block_size(self, kind, monkeypatch):
-        tensors, nbrs, params = conv_case(kind, 40, 64, 6, 3, 5, 94)
-        whole = L._conv_over_edges(kind, *tensors, nbrs, params, "c", 5).data
-        for budget in (1, 8 * 6 * 5 * 7, 8 * 6 * 5 * 100):
-            monkeypatch.setattr(G, "_BLOCK_BYTES", budget)
-            blocked = L._conv_over_edges(kind, *tensors, nbrs, params, "c", 5).data
-            np.testing.assert_array_equal(blocked, whole)
+        # 40 centres in per-edge blocks of 1, 3 or 16 rows and chunks of 2
+        # to 40 rows: chunks of 7 rows come as 7, 8, 9 or 12, the last one
+        # mostly ragged, and of 3 rows leave a lone last row to join the one
+        # before; two workers take runs of whole chunks, cut at rows 16 to 24
+        row_bytes = 8 * 6 * 5 * (6 if kind == "adapt" else 1)
+        seed = 94
+        cases = itertools.product((1, 7, 10**6), (1, 3, 16), (1, 2), (False, True))
+        for chunk_rows, block_rows, workers, taped in cases:
+            # fresh inputs per case, and the blocked forward first, so no
+            # buffer of an earlier forward can stand in for its rows
+            seed += 1
+            tensors, nbrs, params = conv_case(kind, 40, 64, 6, 3, 5, seed)
+            with monkeypatch.context() as m:
+                m.setattr(L, "_CHUNK_ROWS", chunk_rows)
+                m.setattr(G, "_BLOCK_BYTES", row_bytes * workers * block_rows)
+                m.setattr(L, "_WORKERS", workers)
+                with T.no_grad() if not taped else contextlib.nullcontext():
+                    out = L._conv_over_edges(kind, *tensors, nbrs, params, "c", 5)
+            grads = []
+            if taped:  # at the default budget: the backward's blocks set its sums
+                backward(probe(out, 5))
+                grads = [t.grad for t in tensors] + [params[n].grad for n in WEIGHTS[kind]]
+            whole, whole_grads = forward_on(1, monkeypatch, kind, tensors, nbrs, params, 5, taped)
+            same_bits(out.data, whole)
+            for a, b in zip(grads, whole_grads, strict=True):
+                if b is None:
+                    assert a is None
+                else:
+                    same_bits(a, b)
 
     def test_tied_neighbours_route_to_lower_slot(self, kind):
         tensors, _, params = conv_case(kind, 1, 4, 1, 2, 3, 95)
@@ -456,6 +482,25 @@ class TestFusedConv:
         assert all(p._backward is None for p in out._parents)
 
 
+def test_forward_holds_one_chunk_of_the_centre_projection(monkeypatch):
+    # an untaped forward holds the reference projection whole, but the
+    # centre projection only a chunk at a time: whole, it would take the
+    # traced peak above the reference projection and three block budgets
+    q, m_out = 1024, 32
+    tensors, nbrs, params = conv_case("adapt", q, q, 8, 8, m_out, 400)
+    projection = 8 * q * m_out * (m_out + 1)
+    assert projection > 3 * G._BLOCK_BYTES
+    monkeypatch.setattr(L, "_WORKERS", 1)
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            L._conv_over_edges("adapt", *tensors, nbrs, params, "c", m_out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < projection + 3 * G._BLOCK_BYTES
+
+
 def same_bits(a, b):
     """Equal arrays, bit for bit: -0.0 and 0.0 differ here."""
     assert a.shape == b.shape
@@ -463,12 +508,14 @@ def same_bits(a, b):
 
 
 def over_the_rule(kind, k, m_out, monkeypatch):
-    """Shrink the block budget so a conv of 29 centres with k neighbours
-    runs on the workers, in blocks of 2 rows at two workers: 15 blocks, the
-    last ragged, in runs of 7 and 8."""
+    """Shrink the block budget and the chunk so a conv of 29 centres with k
+    neighbours runs on the workers: one worker's blocks of 4 rows make
+    chunks of 8 (the last of 5), which two workers take in runs of 2
+    chunks, in blocks of 2 rows."""
     units = m_out + 1 if kind == "adapt" else 1
     row_bytes = 8 * k * m_out * units
     monkeypatch.setattr(G, "_BLOCK_BYTES", row_bytes * 4)
+    monkeypatch.setattr(L, "_CHUNK_ROWS", 5)
     assert 29 * row_bytes >= L._PARALLEL_BLOCKS * G._BLOCK_BYTES
 
 
@@ -489,20 +536,24 @@ class TestParallelForward:
     @pytest.mark.parametrize("taped", [False, True])
     def test_worker_counts_give_the_serial_bits(self, kind, taped, monkeypatch):
         # fresh inputs per case, and the parallel forwards first, so no
-        # buffer of an earlier identical forward can stand in for a run
-        tensors, nbrs, params = conv_case(kind, 29, 40, 4, 3, 4, 300 + taped)
-        over_the_rule(kind, 4, 4, monkeypatch)
-        runs = [
-            forward_on(w, monkeypatch, kind, tensors, nbrs, params, 4, taped) for w in (2, 3, 1)
-        ]
-        for out, grads in runs[:2]:
-            same_bits(out, runs[2][0])
-            for a, b in zip(grads, runs[2][1]):
-                if b is None:
-                    assert a is None
-                else:
-                    same_bits(a, b)
-        assert_matches_composite(kind, tensors, nbrs, params, 4)
+        # buffer of an earlier identical forward can stand in for a run; at
+        # 33 features and 6 outputs BLAS rounds a product's rows by the rows
+        # it is given, so chunks must not follow the workers' blocks
+        for d, m_out in ((3, 4), (33, 6)):
+            tensors, nbrs, params = conv_case(kind, 29, 40, 4, d, m_out, 300 + taped)
+            over_the_rule(kind, 4, m_out, monkeypatch)
+            runs = [
+                forward_on(w, monkeypatch, kind, tensors, nbrs, params, m_out, taped)
+                for w in (2, 3, 1)
+            ]
+            for out, grads in runs[:2]:
+                same_bits(out, runs[2][0])
+                for a, b in zip(grads, runs[2][1]):
+                    if b is None:
+                        assert a is None
+                    else:
+                        same_bits(a, b)
+            assert_matches_composite(kind, tensors, nbrs, params, m_out)
 
     def test_workers_share_no_buffer(self, kind, monkeypatch):
         # more workers than CPUs, many blocks per run and a short switch
