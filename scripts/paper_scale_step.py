@@ -4,12 +4,12 @@
 The default ModelConfig (2048 points, width_scale 1.0, knn_k 16, 1L loss):
 one procedural shape is split at a cube corner, scored by the training loss,
 and back-propagated. Prints the parameter count, the init time and the
-process's peak resident memory right after init, the forward and backward
-wall times with the number of threads large conv forwards ran on (one per
-CPU the process may use; ``taskset`` narrows them), and three figures of the
-memory ``tracemalloc`` traces (the parameters, made before tracing starts,
-are not in it; their gradients are): the forward's peak, what the forward
-leaves held (the tape and the loss), and the backward's own peak.
+process's peak resident memory right after init, the loss (in full, so two
+runs can be compared to the last bit), the forward and backward wall times,
+and three figures of the memory ``tracemalloc`` traces (the parameters, made
+before tracing starts, are not in it; their gradients are): the forward's
+peak, what the forward leaves held (the tape and the loss), and the
+backward's own peak.
 
     PYTHONPATH=src python3 scripts/paper_scale_step.py
 """
@@ -18,7 +18,6 @@ import resource
 import time
 import tracemalloc
 
-from spcnet import layers
 from spcnet.data import generate_shapes
 from spcnet.geometry import viewpoint_split
 from spcnet.model import ModelConfig, init_params, spcnet_forward
@@ -58,12 +57,9 @@ def main():
     count = sum(p.data.size for p in params.values())
     print(
         f"parameters {count / 1e6:.1f} M ({count * 8 / 2**20:.0f} MB; init {init_s:.1f} s, "
-        f"peak RSS after init {init_rss_mb:.0f} MB), loss {loss.item():.6g}"
+        f"peak RSS after init {init_rss_mb:.0f} MB), loss {loss.item()!r}"
     )
-    print(
-        f"forward {forward_s:.2f} s ({layers._WORKERS} conv forward workers), "
-        f"backward {backward_s:.2f} s"
-    )
+    print(f"forward {forward_s:.2f} s, backward {backward_s:.2f} s")
     print(
         f"traced: forward peak {forward_peak_mb:.0f} MB, tape after forward {tape_mb:.0f} MB, "
         f"backward peak {backward_peak_mb:.0f} MB"

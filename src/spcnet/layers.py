@@ -7,13 +7,11 @@ coordinate values themselves stay differentiable end to end.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
 from . import tensor as T
 from .geometry import NeighborGraph, fps, knn, nearest_index, row_blocks
 from .optim import ParamBuilder, ParamSet
@@ -110,52 +108,59 @@ def self_knn_k(k: int, n: int) -> int:
 CONVS = {"adapt": adaptconv_params, "edge": edgeconv_params}
 
 
-# Threads the fused conv's forward runs on: one per CPU the process may run
-# on (``taskset`` narrows them).
-_WORKERS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
-# A forward whose per-edge arrays take at least this many ``_BLOCK_BYTES``
-# blocks runs on the workers; a smaller one runs on the calling thread.
-# Measured on a 2-vCPU Xeon with one BLAS thread: a lone forward ran
-# 15-30 % faster on two workers from 2 MB up, but in training steps on
-# 256-point shapes (convs of 4.25 MB at most) workers on every conv made
-# the step 20 % slower, and on convs from 2 blocks up 13 % slower (12
-# interleaved in-process calls each).  At 2048 points the convs from 4
-# blocks up (8.5 MB and more) ran 25-40 % faster.
-_PARALLEL_BLOCKS = 4
-# A forward projects its centres a chunk of whole blocks of at least this
-# many rows at a time, so that each product reads the weights once per chunk.
+# A projection is made a fixed chunk of this many rows at a time, whatever
+# the block budget: BLAS rounds a product's rows by the rows it is given.
 # Measured on a 2-vCPU Xeon with one BLAS thread: per row, products of 8
 # rows cost 1.3-2.7x the whole projection's, and of 32 rows 0.67-0.97x at
 # the benchmark's widths and 1.33x at a paper-scale pool2 (1.06x at 64 rows,
-# 0.91x at 128).  Yet no-grad paper-scale forwards (3 interleaved in one
-# process each) took 6.1-6.5 s at 32 rows, 6.2-7.6 s at 64 and 6.5-7.6 s at
-# 128, with traced peaks of 650, 671 and 736 MB.
+# 0.91x at 128).
 _CHUNK_ROWS = 32
-# The weights' layout is copied this many outputs at a time: for a
-# paper-scale pool2's forward, 0.44 s in one pass and 0.29-0.33 s in blocks
-# of 1 to 32 outputs.
-_LAYOUT_OUTPUTS = 32
-_pool = None
+# The reference pass groups a reference's incoming edges in rows of at most
+# this many, so that coincident points cannot widen every row to q * k.
+# Measured on a 2-vCPU Xeon with one BLAS thread: the convs of two 256-point
+# no-grad forwards took 17.3, 16.0, 16.0 and 15.8 ms at widths 4, 8, 16
+# and 32, and four taped 2048-point stage convs 41.7-42.4 ms at 8 and
+# 44.1-44.6 ms at 16.
+_REF_WIDTH = 8
+# The weights are laid out about this many kernel values (a unit's at
+# least) at a time.  Measured on a 2-vCPU Xeon for a conv of 64 features
+# and 256 outputs: the forward's layout took 203 ms in blocks of 32 outputs
+# and 40 ms a unit at a time; the backward's 131 and 91 ms.
+_LAYOUT_VALUES = 1 << 14
 
 
-def _executor() -> ThreadPoolExecutor:
-    """The forward's worker pool, created on first use."""
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(_WORKERS)
-    return _pool
+def _chunk_runs(n: int, row_bytes: int) -> list:
+    """Cut points of runs of whole projection chunks over ``n`` rows, each
+    run about one block at ``row_bytes`` a row, or one chunk.
+
+    A chunk is one product of ``_CHUNK_ROWS`` rows, and a lone last row
+    joins the chunk before it (a one-row product takes BLAS's matrix-vector
+    kernel, which rounds otherwise), so the bits depend on neither the block
+    budget nor the runs.
+    """
+    cuts = list(range(0, n, _CHUNK_ROWS)) + [n]
+    if len(cuts) > 2 and n - cuts[-2] == 1:
+        del cuts[-2]
+    per = max(1, row_blocks(max(1, n), row_bytes)[0].stop // _CHUNK_ROWS)
+    return [cuts[i : i + per + 1] for i in range(0, len(cuts) - 1, per)]
 
 
-def _drop_pool() -> None:
-    """Forget the pool in a forked child, which has none of its threads."""
-    global _pool
-    _pool = None
+def _carve(*shapes) -> list:
+    """Arrays of ``shapes`` cut from one allocation.
 
-
-if hasattr(os, "register_at_fork"):  # where processes can fork
-    os.register_at_fork(after_in_child=_drop_pool)
+    Freed as one block, a forward's scratch stays with the allocator for
+    the next forward.  Freed as several blocks of a similar size, glibc
+    handed it back to the system at each return, and the next forward
+    faulted its pages in again: 2193 page faults per 256-point no-grad
+    forward, against none in one block.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    work = np.empty(sum(sizes))
+    views, end = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(work[end : end + size].reshape(shape))
+        end += size
+    return views
 
 
 def _leaky_factor(x: np.ndarray) -> np.ndarray:
@@ -178,26 +183,33 @@ def _conv_over_edges(
 
     Each product of a weight with an edge's pair ``[a_i, a_j - a_i]`` is
     taken as ``a_i (W_top - W_bot) + a_j W_bot``: per-point projections
-    whose rows are gathered per edge.  The adaptive kernel's generator bias
-    is a hidden unit fixed at 1, so an edge's response to output ``o`` is
-    ``sum_u hid[e, u] (A[i] + B[j])[o, u]`` with ``A = f_c W_c`` and
-    ``B = f_r W_r``.  EdgeConv is the kernel with no generator units: its
-    ``theta`` is the bias unit's row, and its coordinates get no gradient.
-    Forward projects the references whole, since edges gather them at
-    random, and the centres a chunk of whole blocks at a time.  It builds
-    per-edge arrays one block of centres at a time, on ``_WORKERS`` threads
-    when they are large (each thread a contiguous run of chunks, bits
-    unchanged), and keeps the max; with a tape it keeps the
-    argmax too (ties to the lowest neighbour slot).  Backward needs only the
-    max edges: it recomputes their hidden units and responses from the
-    inputs, and contracts with the weights before scattering to the
-    references.
+    ``A = f_c W_c`` and ``B = f_r W_r``, laid out ``[n, units, m_out]``.
+    The adaptive kernel's generator bias is a hidden unit fixed at 1, so
+    an edge's response to output ``o`` is ``hid[e]·A[i, :, o] +
+    hid[e]·B[j, :, o]``.  EdgeConv is the kernel with no generator units:
+    its ``theta`` is the bias unit's row, the terms are ``A[i]`` and
+    ``B[j]`` themselves, and its coordinates get no gradient.
+
+    Forward runs two passes, each over blocks of about ``_BLOCK_BYTES``,
+    with the projections made a fixed chunk of rows at a time and the
+    hidden units recomputed per block.  The reference pass takes the edges
+    stably sorted by reference, in rows of at most ``_REF_WIDTH`` edges of
+    one reference padded to a common width, and makes each row's terms as
+    one product with its reference's ``B``; it writes them back in edge
+    order, the one ``[q * k, m_out]`` array the forward holds whole.  The
+    centre pass makes each centre's terms as one product with its ``A``,
+    adds the reference terms, and keeps the max over neighbours; with a
+    tape it keeps the argmax too (ties to the lowest neighbour slot).
+    Backward needs only the max edges: it recomputes their hidden units
+    and responses from the inputs, and contracts with the weights before
+    scattering to the references.
     """
     if kind not in CONVS:
         raise ValueError(f"unknown convolution kind {kind!r}")
     q, k = neighbors.shape
-    if neighbors.size and (neighbors.min() < 0 or neighbors.max() >= ref_feats.shape[0]):
-        raise IndexError(f"{kind} conv: neighbour index out of range for {ref_feats.shape[0]} rows")
+    r = ref_feats.shape[0]
+    if neighbors.size and (neighbors.min() < 0 or neighbors.max() >= r):
+        raise IndexError(f"{kind} conv: neighbour index out of range for {r} rows")
     d = center_feats.shape[1]
     if kind == "adapt":
         weights = tuple(params[f"{prefix}.g.{n}"] for n in ("l0.w", "l0.b", "l1.w", "l1.b"))
@@ -213,113 +225,157 @@ def _conv_over_edges(
     w0_c = w0[:3] - w0_r
     xc, fc, xr, fr = center_coords.data, center_feats.data, ref_coords.data, ref_feats.data
 
-    def factored_weights(rows_first):
+    def factored_weights(layout):
         """[m_out, d, units] weights of the centre and reference projections,
-        laid out [d, m_out, units] in memory when ``rows_first`` and as
-        shaped otherwise, made from the generator's weight rows and bias row
-        (recomputed in backward rather than held on the tape)."""
-        shape = (d, m_out, units) if rows_first else (m_out, d, units)
-        w_c, w_r = np.empty(shape), np.empty(shape)
-        if rows_first:
-            w_c, w_r = w_c.transpose(1, 0, 2), w_r.transpose(1, 0, 2)
-        kernels = [  # [m_out, 2d, rows] views of the kernel rows
-            (src.reshape(-1, m_out, 2 * d).transpose(1, 2, 0), cols)
-            for src, cols in ((w1, np.s_[..., :-1]), (b1, np.s_[..., -1:]))
-        ]
-        for o in range(0, m_out, _LAYOUT_OUTPUTS):
-            outs = slice(o, o + _LAYOUT_OUTPUTS)
-            for kernel, cols in kernels:
-                top, bot = kernel[outs, :d], kernel[outs, d:]
-                w_r[outs][cols] = bot
-                np.subtract(top, bot, out=w_c[outs][cols])
+        laid out in memory with that shape's axes in the order ``layout``,
+        made from the generator's weight rows and bias row (recomputed in
+        backward rather than held on the tape)."""
+        shape = (m_out, d, units)
+        w_c, w_r = (
+            np.empty([shape[a] for a in layout]).transpose([layout.index(a) for a in range(3)])
+            for _ in "cr"
+        )
+        # [units, m_out, d] views, filled from the [rows, m_out, 2d] kernel
+        # rows: the generator's weight rows from unit 0, its bias row as the
+        # last unit
+        c_rows, r_rows = w_c.transpose(2, 0, 1), w_r.transpose(2, 0, 1)
+        step = max(1, _LAYOUT_VALUES // (m_out * d))
+        kernel = ((w1.reshape(-1, m_out, 2 * d), 0), (b1.reshape(1, m_out, 2 * d), units - 1))
+        for rows, first in kernel:
+            for u in range(0, rows.shape[0], step):
+                block = rows[u : u + step]
+                at = slice(first + u, first + u + block.shape[0])
+                r_rows[at] = block[..., d:]
+                np.subtract(block[..., :d], block[..., d:], out=c_rows[at])
         return w_c, w_r
 
     def generator_inputs():
         return xc @ w0_c + b0, xr @ w0_r
 
-    # [d, m_out * units] views of the weights, whose product gives a
+    def leaky_in_place(pre, tmp):
+        """``pre`` = leaky(``pre``): the hidden units but the bias unit, as
+        ``_hidden_units``."""
+        np.multiply(pre, EDGE_SLOPE, out=tmp)
+        return np.maximum(pre, tmp, out=pre)
+
+    def project(x, w, cuts):
+        """``x[cuts[0]:cuts[-1]] @ w`` as [rows, units, m_out], a chunk at a
+        time."""
+        lo = cuts[0]
+        for a, b in zip(cuts, cuts[1:]):
+            np.matmul(x[a:b], w, out=proj_buf[a - lo : b - lo])
+        return proj_buf[: cuts[-1] - lo].reshape(-1, units, m_out)
+
+    def edge_buffers(rows, width):
+        """Pre-activations, scratch and responses of ``rows`` rows of
+        ``width`` edges."""
+        n = rows * width
+        return (
+            pre_buf[:n].reshape(rows, width, units - 1),
+            tmp_buf[:n].reshape(rows, width, units - 1),
+            h_buf[:n].reshape(rows, width, m_out),
+        )
+
+    # [d, units * m_out] views of the weights, whose product gives a
     # projection's rows: the adaptive kernel's are laid out so, and
     # EdgeConv's are [m_out, d] read transposed (BLAS rounds by the layout)
-    w_c, w_r = (w.transpose(1, 0, 2).reshape(d, -1) for w in factored_weights(units > 1))
-    proj_r = (fr @ w_r).reshape(-1, m_out, units)
-    del w_r
+    w_c, w_r = (
+        w.transpose(1, 2, 0).reshape(d, -1)
+        for w in factored_weights((1, 2, 0) if units > 1 else (0, 1, 2))
+    )
     hid_c, hid_r = generator_inputs()
 
+    # The reference pass takes each reference's incoming edges, in edge
+    # order, in one row of ``width`` slots or more (a padding slot names
+    # edge q * k, a spare row); a reference that no edge reaches keeps a
+    # padding row, so that while no reference overflows its row, rows are
+    # references.
+    flat = neighbors.reshape(-1)
+    # numpy sorts 16-bit keys by radix, 6x faster at 32768 edges
+    order = np.argsort(flat.astype(np.uint16) if r <= 1 << 16 else flat, kind="stable")
+    counts = np.bincount(flat, minlength=r)
+    width = max(1, min(_REF_WIDTH, int(counts.max(initial=0))))
+    bounds = np.zeros(r + 1, dtype=np.intp)
+    np.cumsum(np.maximum(-(-counts // width), 1), out=bounds[1:])
+    aligned = bounds[-1] == r
+    row_ref = None if aligned else np.repeat(np.arange(r), np.diff(bounds))
+    slots = np.full((bounds[-1], width), q * k)
+    first_slot = bounds[:-1] * width - (np.cumsum(counts) - counts)
+    slots.reshape(-1)[first_slot[flat[order]] + np.arange(flat.size)] = order
+
+    # Both passes take blocks of about _BLOCK_BYTES, and each its
+    # projection a run of chunks at a time, in one shared buffer.
+    ref_bytes = 8 * (units * m_out + width * (2 * units + m_out))
+    centre_bytes = 8 * (units * m_out + k * (2 * units + m_out))
+    ref_runs, centre_runs = _chunk_runs(r, ref_bytes), _chunk_runs(q, centre_bytes)
+    block_edges = max(
+        row_blocks(max(1, bounds[-1]), ref_bytes)[0].stop * width,
+        row_blocks(max(1, q), centre_bytes)[0].stop * k,
+    )
+    span = max(run[-1] - run[0] for run in ref_runs + centre_runs)
+    ref_terms, proj_buf, pre_buf, tmp_buf, h_buf = _carve(
+        (q * k + 1, m_out), (span, units * m_out),
+        (block_edges, units - 1), (block_edges, units - 1), (block_edges, m_out),
+    )
+
+    for cuts in ref_runs:
+        proj_r = project(fr, w_r, cuts)
+        lo, hi = cuts[0], cuts[-1]
+        for block in row_blocks(bounds[hi] - bounds[lo], ref_bytes):
+            rows = slice(bounds[lo] + block.start, bounds[lo] + block.stop)
+            pre, tmp, h = edge_buffers(block.stop - block.start, width)
+            refs = rows if aligned else row_ref[rows]
+            proj = proj_r[block] if aligned else proj_r[refs - lo]
+            edges = slots[rows]
+            if units > 1:
+                # "clip" skips take's buffered bounds check and maps the
+                # padding's centre q to a real one
+                pre = np.take(hid_c, edges // k, axis=0, out=pre, mode="clip")
+                pre += hid_r[refs, None]
+                h = np.matmul(leaky_in_place(pre, tmp), proj[:, :-1], out=h)
+                proj = np.add(h, proj[:, -1:], out=h)  # the bias unit's term
+            ref_terms[edges] = proj
+    ref_terms = ref_terms[:-1].reshape(q, k, m_out)
+
+    # The centre pass adds each centre's terms to its edges' reference
+    # terms and keeps the max over neighbours.
     taped = T.recording(parents)
-    row_bytes = 8 * k * m_out * units  # one centre's per-edge responses
-    parallel = q * row_bytes >= _PARALLEL_BLOCKS * geometry._BLOCK_BYTES
-    workers = _WORKERS if parallel else 1
-    # The centre projection is made a chunk of one worker's whole blocks at
-    # a time, whatever the worker count, for BLAS rounds a product's rows by
-    # the rows it is given; and of two rows or more, for a one-row product
-    # takes BLAS's matrix-vector kernel, which rounds otherwise again.
-    block = row_blocks(q, row_bytes)[0].stop
-    size = -(-max(_CHUNK_ROWS, 2) // block) * block
-    chunks = [slice(i, min(q, i + size)) for i in range(0, q, size)]
-    if len(chunks) > 1 and chunks[-1].stop - chunks[-1].start == 1:
-        chunks[-2:] = [slice(chunks[-2].start, q)]  # a lone last row joins the chunk before it
-    # the workers share one budget: each block takes 1 / workers of it
-    step = -(-block // workers)
     best = np.empty((q, m_out))
     arg = np.empty((q, m_out), dtype=np.intp) if taped else None
-
-    def buffers():
-        """A chunk's centre projection, and per-edge responses,
-        pre-activations, hidden units (bias unit set here, once) and their
-        product, for one thread's blocks."""
-        a = np.empty((min(q, size + 1), m_out * units))
-        z = np.empty((step, k, m_out, units))
-        if units == 1:
-            return a, z, None, None, None
-        hid = np.empty((step, k, units))
-        hid[..., -1] = 1.0
-        return a, z, np.empty((step, k, units - 1)), hid, np.empty((step, k, m_out, 1))
-
-    def run(chunks, a_buf, z_buf, pre_buf, hid_buf, prod_buf):
-        """Fill ``best`` (and ``arg``, taped) over ``chunks``; numpy only, so
-        a worker records no tape and no span."""
-        for chunk in chunks:
-            start, stop = chunk.start, chunk.stop
-            proj_c = np.matmul(fc[chunk], w_c, out=a_buf[: stop - start])
-            proj_c = proj_c.reshape(-1, m_out, units)
-            for first in range(start, stop, step):
-                rows = slice(first, min(first + step, stop))
-                b = rows.stop - first
-                nbrs = neighbors[rows]
+    later = np.empty(q * m_out, dtype=bool) if taped else None
+    for cuts in centre_runs:
+        proj_c = project(fc, w_c, cuts)
+        lo = cuts[0]
+        for block in row_blocks(cuts[-1] - lo, centre_bytes):
+            rows = slice(lo + block.start, lo + block.stop)
+            pre, tmp, h = edge_buffers(block.stop - block.start, k)
+            if units > 1:
                 # "clip" skips take's buffered bounds check; the indices were checked
-                z = np.take(proj_r, nbrs, axis=0, out=z_buf[:b], mode="clip")
-                z += proj_c[first - start : rows.stop - start, None]
-                if units > 1:
-                    pre = np.take(hid_r, nbrs, axis=0, out=pre_buf[:b], mode="clip")
-                    pre += hid_c[rows, None]
-                    hid = hid_buf[:b, :, :-1]
-                    np.multiply(pre, EDGE_SLOPE, out=hid)
-                    np.maximum(pre, hid, out=hid)  # leaky relu, as _hidden_units
-                    h = np.matmul(z, hid_buf[:b, ..., None], out=prod_buf[:b])[..., 0]
-                else:
-                    h = z[..., 0]  # the one unit is the constant 1, and z·1 = z
-                np.max(h, axis=1, out=best[rows])
+                pre = np.take(hid_r, neighbors[rows], axis=0, out=pre, mode="clip")
+                pre += hid_c[rows, None]
+                proj = proj_c[block]
+                h = np.matmul(leaky_in_place(pre, tmp), proj[:, :-1], out=h)
+                h += proj[:, -1:]  # the bias unit's term
+                h += ref_terms[rows]
+            else:  # the one unit is the constant 1
+                h = np.add(ref_terms[rows], proj_c[block], out=h)
+            # the max over neighbours a slot at a time, which numpy takes
+            # faster than a reduction over the middle axis
+            top = best[rows]
+            top[:] = h[:, 0]
+            if taped:
+                at, greater = arg[rows], later[: top.size].reshape(top.shape)
+                at[:] = 0
+            for slot in range(1, k):
                 if taped:  # ties to the lowest neighbour slot
-                    np.argmax(h, axis=1, out=arg[rows])
-
-    if workers == 1:
-        run(chunks, *buffers())
-    else:
-        # one contiguous run of chunks per worker, each with its own buffers
-        cuts = [len(chunks) * i // workers for i in range(workers + 1)]
-        jobs = [
-            _executor().submit(run, chunks[a:b], *buffers())
-            for a, b in zip(cuts, cuts[1:]) if a < b
-        ]
-        wait(jobs)  # every run ends before any error is raised
-        for job in jobs:
-            job.result()
+                    np.copyto(at, slot, where=np.greater(h[:, slot], top, out=greater))
+                np.maximum(top, h[:, slot], out=top)
     out_data = best * _leaky_factor(best)
 
     def bwd(g):
         # leaky keeps the sign, so the output gives the slope at the max
         g_h = (g * _leaky_factor(out_data)).T[:, :, None]  # [m_out, q, 1]
-        w_c, w_r = factored_weights(False)
+        w_c, w_r = factored_weights((0, 1, 2))
         hid_c, hid_r = generator_inputs()
         g_fc = np.empty_like(fc)
         g_fr = np.zeros_like(fr)

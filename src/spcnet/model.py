@@ -439,13 +439,3 @@ def init_params(config: ModelConfig, seed: int | None) -> ParamSet:
         )
         L.fold_decode_params(pb, f"scm{i}.acm.fold", w.local_feat, w.fold_hidden)
     return pb.entries
-
-
-def zero_fold_heads(params: ParamSet, config: ModelConfig) -> None:
-    """Zero the final layer of every folding head: each stage then reproduces
-    its coarse input replicated, an end-to-end identity audit."""
-    w = width_schedule(config.width_scale)
-    last = len(w.fold_hidden)
-    for i in range(config.scm_count):
-        params[f"scm{i}.acm.fold.l{last}.w"].data[:] = 0.0
-        params[f"scm{i}.acm.fold.l{last}.b"].data[:] = 0.0

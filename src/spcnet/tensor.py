@@ -121,16 +121,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = as_tensor(other)
-        out_data = self.data - other.data
-
-        def bwd(g):
-            self._accumulate(_unbroadcast(g, self.data.shape), owned=True)
-            other._accumulate(_unbroadcast(-g, other.data.shape), owned=True)
-
-        return Tensor._node(out_data, (self, other), bwd)
-
     def __mul__(self, other):
         other = as_tensor(other)
         out_data = self.data * other.data
@@ -251,35 +241,6 @@ def linear(x: Tensor, w: Tensor | None, b: Tensor, gamma: Tensor | None = None,
             w._accumulate(x_data.T @ g, owned=True)
 
     return Tensor._node(out_data, parents, bwd)
-
-
-def activation(x: Tensor, kind: str, slope: float = 0.2) -> Tensor:
-    """Elementwise nonlinearity: relu, leaky_relu (default slope 0.2), tanh."""
-    x = as_tensor(x)
-    if kind == "relu":
-        out_data = np.maximum(x.data, 0.0)
-        mask = (x.data > 0.0).astype(np.float64)
-
-        def bwd(g):
-            x._accumulate(g * mask, owned=True)
-
-    elif kind == "leaky_relu":
-        factor = np.where(x.data > 0.0, 1.0, slope)
-        out_data = x.data * factor
-
-        def bwd(g):
-            x._accumulate(g * factor, owned=True)
-
-    elif kind == "tanh":
-        out_data = np.tanh(x.data)
-        deriv = 1.0 - out_data * out_data
-
-        def bwd(g):
-            x._accumulate(g * deriv, owned=True)
-
-    else:
-        raise ValueError(f"unsupported activation kind {kind!r}")
-    return Tensor._node(out_data, (x,), bwd)
 
 
 def reduce_max_rows(*xs: Tensor) -> Tensor:

@@ -119,8 +119,8 @@ class TestTrain:
 
     def test_asymmetric_checkpoint_bits_are_frozen(self, tmp_path, capsys):
         # sha256 of the forward and reverse checkpoints of a two-network 4L
-        # run (two epochs, a short last batch), frozen from the loop that kept
-        # the reverse network in separate branches
+        # run (two epochs, a short last batch), re-frozen when the fused conv's
+        # forward became per-centre and per-reference products
         data = tmp_path / "data"
         assert main([
             "gen-data", "--out", str(data), "--shapes", "sphere,cube",
@@ -139,8 +139,8 @@ class TestTrain:
         assert capsys.readouterr().out == f"saved checkpoint(s): {ckpt}, {rev}\n"
         digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (ckpt, rev)]
         assert digests == [
-            "55f653b7217f78391d6897bcca1938a98b4aeea7aeb4c728b36cedb7dea65e0a",
-            "511ed43640d2ed12dab60bac1cf67680bf3d89c3b2645d13d867499e3b8c0b51",
+            "109f49059a94ed1e7b58c4197dd244815c7fd29154656c72db1acce5b213d923",
+            "5f4be7357a2df32a967daad65804972e41f40fe9b0d9b7f2a5ad37bee650ab4b",
         ]
 
     def test_loss_mode_flag(self, tmp_path, data_dir, config_file):

@@ -1,9 +1,11 @@
 """Neural building blocks against naive per-edge references."""
 import contextlib
+import hashlib
 import itertools
 import multiprocessing
 import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ from spcnet.gradcheck import finite_diff_check
 from spcnet.optim import ParamBuilder
 from spcnet.rng import Rng
 from spcnet.tensor import Tensor, backward
+from reference_ops import activation, subtract
 
 
 def cloud(n, seed):
@@ -310,11 +313,11 @@ def composite_conv(kind, xc, fc, xr, fr, neighbors, params, prefix, m_out):
     q, k = neighbors.shape
     centre, ref = np.repeat(np.arange(q), k), neighbors.reshape(-1)
     f_i, f_j = T.gather_rows(fc, centre), T.gather_rows(fr, ref)
-    df = T.concat([f_i, f_j - f_i], axis=1)
+    df = T.concat([f_i, subtract(f_j, f_i)], axis=1)
     if kind == "adapt":
         x_i, x_j = T.gather_rows(xc, centre), T.gather_rows(xr, ref)
-        dx = T.concat([x_i, x_j - x_i], axis=1)
-        hidden = T.activation(
+        dx = T.concat([x_i, subtract(x_j, x_i)], axis=1)
+        hidden = activation(
             T.linear(dx, params[f"{prefix}.g.l0.w"], params[f"{prefix}.g.l0.b"]),
             "leaky_relu", L.EDGE_SLOPE,
         )
@@ -324,7 +327,7 @@ def composite_conv(kind, xc, fc, xr, fr, neighbors, params, prefix, m_out):
         h = (blocks * df.reshape(n_edges, 1, two_d)).sum(axis=2)
     else:
         h = T.linear(df, params[f"{prefix}.theta"], np.zeros(m_out))
-    return group_max_rows(T.activation(h, "leaky_relu", L.EDGE_SLOPE), k)
+    return group_max_rows(activation(h, "leaky_relu", L.EDGE_SLOPE), k)
 
 
 WEIGHTS = {"adapt": ("c.g.l0.w", "c.g.l0.b", "c.g.l1.w", "c.g.l1.b"), "edge": ("c.theta",)}
@@ -422,38 +425,53 @@ class TestFusedConv:
 
         monkeypatch.setattr(L, "row_blocks", counted)
         assert_matches_composite(kind, tensors, nbrs, params, m_out)
-        assert len(counts) == 2 and counts[1] == 5  # the forward's blocks, then the backward's
+        # the forward's passes over several blocks too, then the backward's
+        assert max(counts[:-1]) > 1 and counts[-1] == 5
 
     def test_forward_bits_independent_of_block_size(self, kind, monkeypatch):
-        # 40 centres in per-edge blocks of 1, 3 or 16 rows and chunks of 2
-        # to 40 rows: chunks of 7 rows come as 7, 8, 9 or 12, the last one
-        # mostly ragged, and of 3 rows leave a lone last row to join the one
-        # before; two workers take runs of whole chunks, cut at rows 16 to 24
-        row_bytes = 8 * 6 * 5 * (6 if kind == "adapt" else 1)
+        # 67 centres in blocks of 1, 3 or 16 rows, or one block (an unbounded
+        # budget); m_out * units is no multiple of 8, and at 33 features and
+        # 6 outputs BLAS rounds a product's rows by the rows it is given, so
+        # the projections' chunks must not follow the blocks
         seed = 94
-        cases = itertools.product((1, 7, 10**6), (1, 3, 16), (1, 2), (False, True))
-        for chunk_rows, block_rows, workers, taped in cases:
+        cases = itertools.product(((3, 5), (33, 6)), (1, 3, 16, None), (False, True))
+        for (d, m_out), block_rows, taped in cases:
             # fresh inputs per case, and the blocked forward first, so no
             # buffer of an earlier forward can stand in for its rows
             seed += 1
-            tensors, nbrs, params = conv_case(kind, 40, 64, 6, 3, 5, seed)
+            tensors, nbrs, params = conv_case(kind, 67, 90, 6, d, m_out, seed)
+            budget = 1 << 62 if block_rows is None else row_bytes(kind, 6, m_out) * block_rows
             with monkeypatch.context() as m:
-                m.setattr(L, "_CHUNK_ROWS", chunk_rows)
-                m.setattr(G, "_BLOCK_BYTES", row_bytes * workers * block_rows)
-                m.setattr(L, "_WORKERS", workers)
+                m.setattr(G, "_BLOCK_BYTES", budget)
                 with T.no_grad() if not taped else contextlib.nullcontext():
-                    out = L._conv_over_edges(kind, *tensors, nbrs, params, "c", 5)
+                    out = L._conv_over_edges(kind, *tensors, nbrs, params, "c", m_out)
             grads = []
             if taped:  # at the default budget: the backward's blocks set its sums
                 backward(probe(out, 5))
                 grads = [t.grad for t in tensors] + [params[n].grad for n in WEIGHTS[kind]]
-            whole, whole_grads = forward_on(1, monkeypatch, kind, tensors, nbrs, params, 5, taped)
+            whole, whole_grads = forward(kind, tensors, nbrs, params, m_out, taped)
             same_bits(out.data, whole)
             for a, b in zip(grads, whole_grads, strict=True):
                 if b is None:
                     assert a is None
                 else:
                     same_bits(a, b)
+
+    def test_reference_grouping_edge_cases(self, kind):
+        # a reference that no edge reaches, every edge on one reference (more
+        # than a row of edges, so its edges take several rows), one centre,
+        # and one neighbour
+        tensors, nbrs, params = conv_case(kind, 6, 20, 3, 2, 3, 99)
+        assert (np.bincount(nbrs.reshape(-1), minlength=20) == 0).any()
+        assert_matches_composite(kind, tensors, nbrs, params, 3)
+        tensors, nbrs, params = conv_case(kind, 9, 12, 5, 2, 3, 100)
+        nbrs = np.full_like(nbrs, 7)
+        assert nbrs.size > L._REF_WIDTH
+        assert_matches_composite(kind, tensors, nbrs, params, 3)
+        for q, r, k in ((1, 10, 4), (8, 10, 1), (1, 1, 1)):
+            tensors, nbrs, params = conv_case(kind, q, r, k, 3, 4, 101 + q + k)
+            assert nbrs.shape == (q, k)
+            assert_matches_composite(kind, tensors, nbrs, params, 4)
 
     def test_tied_neighbours_route_to_lower_slot(self, kind):
         tensors, _, params = conv_case(kind, 1, 4, 1, 2, 3, 95)
@@ -482,15 +500,15 @@ class TestFusedConv:
         assert all(p._backward is None for p in out._parents)
 
 
-def test_forward_holds_one_chunk_of_the_centre_projection(monkeypatch):
-    # an untaped forward holds the reference projection whole, but the
-    # centre projection only a chunk at a time: whole, it would take the
-    # traced peak above the reference projection and three block budgets
+def test_forward_holds_neither_projection_whole():
+    # an untaped forward holds the reference terms in edge order whole, and
+    # each projection a run of chunks at a time: the traced peak stays
+    # below the size of the reference projection, which the forward once
+    # held whole
     q, m_out = 1024, 32
     tensors, nbrs, params = conv_case("adapt", q, q, 8, 8, m_out, 400)
     projection = 8 * q * m_out * (m_out + 1)
     assert projection > 3 * G._BLOCK_BYTES
-    monkeypatch.setattr(L, "_WORKERS", 1)
     tracemalloc.start()
     try:
         with T.no_grad():
@@ -498,7 +516,27 @@ def test_forward_holds_one_chunk_of_the_centre_projection(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < projection + 3 * G._BLOCK_BYTES
+    assert peak < projection
+
+
+# sha256 of EdgeConv forward outputs on a pool table and on a self table,
+# recorded before the forward was split into reference and centre passes:
+# EdgeConv's one unit is the constant 1, so its grouped terms are the
+# projections themselves and its forward keeps its bits
+EDGE_FORWARD_DIGESTS = {
+    "pool": "372dfd594b19ec49a7c0abacff58302df9d61f1c2a94c58394dd23d29ee968c0",
+    "self": "032766f04906a1b6843eb34e39e58ee4a7852aea7361d1d33b4ca7f6459c7187",
+}
+
+
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("table", ["pool", "self"])
+def test_edge_forward_bits_are_frozen(table, taped):
+    pool = table == "pool"
+    shape = (96, 200, 8, 12, 16) if pool else (150, 150, 10, 7, 8)
+    tensors, nbrs, params = conv_case("edge", *shape, 500, pool=pool)
+    out = forward("edge", tensors, nbrs, params, shape[-1], taped)[0]
+    assert hashlib.sha256(out.tobytes()).hexdigest() == EDGE_FORWARD_DIGESTS[table]
 
 
 def same_bits(a, b):
@@ -507,22 +545,21 @@ def same_bits(a, b):
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def over_the_rule(kind, k, m_out, monkeypatch):
-    """Shrink the block budget and the chunk so a conv of 29 centres with k
-    neighbours runs on the workers: one worker's blocks of 4 rows make
-    chunks of 8 (the last of 5), which two workers take in runs of 2
-    chunks, in blocks of 2 rows."""
+def row_bytes(kind, k, m_out):
+    """The fused conv's bytes per centre row: its projection row, and its
+    edges' pre-activations, scratch and responses."""
     units = m_out + 1 if kind == "adapt" else 1
-    row_bytes = 8 * k * m_out * units
-    monkeypatch.setattr(G, "_BLOCK_BYTES", row_bytes * 4)
-    monkeypatch.setattr(L, "_CHUNK_ROWS", 5)
-    assert 29 * row_bytes >= L._PARALLEL_BLOCKS * G._BLOCK_BYTES
+    return 8 * (units * m_out + k * (2 * units + m_out))
 
 
-def forward_on(workers, monkeypatch, kind, tensors, nbrs, params, m_out, taped):
-    """Output, and taped the gradients, of the fused conv on ``workers``
-    threads."""
-    monkeypatch.setattr(L, "_WORKERS", workers)
+def over_several_blocks(kind, k, m_out, monkeypatch):
+    """Shrink the block budget so a conv of 29 centres with k neighbours
+    runs over blocks of 4 centre rows."""
+    monkeypatch.setattr(G, "_BLOCK_BYTES", row_bytes(kind, k, m_out) * 4)
+
+
+def forward(kind, tensors, nbrs, params, m_out, taped):
+    """Output, and taped the gradients, of the fused conv."""
     if taped:
         return run_conv(L._conv_over_edges, kind, tensors, nbrs, params, m_out, 5)
     with T.no_grad():
@@ -531,57 +568,85 @@ def forward_on(workers, monkeypatch, kind, tensors, nbrs, params, m_out, taped):
     return out.data, []
 
 
+def on_threads(count, job):
+    """``job()`` run on ``count`` threads at once, with the results in
+    thread order; a thread's error is raised here."""
+    results, errors = [None] * count, []
+    start = threading.Barrier(count)
+
+    def run(i):
+        try:
+            start.wait()
+            results[i] = job()
+        except BaseException as error:  # noqa: BLE001 - re-raised below
+            errors.append(error)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 @pytest.mark.parametrize("kind", ["adapt", "edge"])
 class TestParallelForward:
+    """The fused conv run by several threads at once: it keeps no state
+    between calls and starts no thread, so each caller gets the serial
+    bits."""
+
     @pytest.mark.parametrize("taped", [False, True])
     def test_worker_counts_give_the_serial_bits(self, kind, taped, monkeypatch):
-        # fresh inputs per case, and the parallel forwards first, so no
-        # buffer of an earlier identical forward can stand in for a run; at
-        # 33 features and 6 outputs BLAS rounds a product's rows by the rows
-        # it is given, so chunks must not follow the workers' blocks
+        # backward adds into the leaves' gradients, so each thread's forward
+        # starts from its own copies of the leaves; at 33 features and 6
+        # outputs BLAS rounds a product's rows by the rows it is given
         for d, m_out in ((3, 4), (33, 6)):
             tensors, nbrs, params = conv_case(kind, 29, 40, 4, d, m_out, 300 + taped)
-            over_the_rule(kind, 4, m_out, monkeypatch)
-            runs = [
-                forward_on(w, monkeypatch, kind, tensors, nbrs, params, m_out, taped)
-                for w in (2, 3, 1)
-            ]
-            for out, grads in runs[:2]:
-                same_bits(out, runs[2][0])
-                for a, b in zip(grads, runs[2][1]):
-                    if b is None:
-                        assert a is None
-                    else:
-                        same_bits(a, b)
+            over_several_blocks(kind, 4, m_out, monkeypatch)
+            serial = forward(kind, tensors, nbrs, params, m_out, taped)
+
+            def job():
+                copies = [Tensor(t.data, True) for t in tensors]
+                own = {n: Tensor(p.data, True) for n, p in params.items()}
+                return forward(kind, copies, nbrs, own, m_out, taped)
+
+            for workers in (2, 3):
+                for out, grads in on_threads(workers, job):
+                    same_bits(out, serial[0])
+                    for a, b in zip(grads, serial[1], strict=True):
+                        if b is None:
+                            assert a is None
+                        else:
+                            same_bits(a, b)
             assert_matches_composite(kind, tensors, nbrs, params, m_out)
 
     def test_workers_share_no_buffer(self, kind, monkeypatch):
-        # more workers than CPUs, many blocks per run and a short switch
-        # interval, so that threads interleave inside their runs
+        # more threads than CPUs, many blocks per pass and a short switch
+        # interval, so that threads interleave inside their passes
         workers = (os.cpu_count() or 1) + 2
         tensors, nbrs, params = conv_case(kind, 400, 400, 8, 6, 16, 310, pool=False)
-        serial = forward_on(1, monkeypatch, kind, tensors, nbrs, params, 16, False)[0]
-        row_bytes = 8 * 8 * 16 * (17 if kind == "adapt" else 1)
-        monkeypatch.setattr(G, "_BLOCK_BYTES", row_bytes * 2 * workers)  # 2 rows a block
-        monkeypatch.setattr(L, "_pool", None)  # a pool of this many workers
+        serial = forward(kind, tensors, nbrs, params, 16, False)[0]
+        monkeypatch.setattr(G, "_BLOCK_BYTES", row_bytes(kind, 8, 16) * 2)  # 2 rows a block
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(10):
-                out = forward_on(workers, monkeypatch, kind, tensors, nbrs, params, 16, False)[0]
-                same_bits(out, serial)
+            for _ in range(3):
+                outs = on_threads(workers, lambda: forward(kind, tensors, nbrs, params, 16, False))
+                for out, _ in outs:
+                    same_bits(out, serial)
         finally:
             sys.setswitchinterval(interval)
-            if L._pool is not None:
-                L._pool.shutdown()
 
     def test_untaped_forward_is_the_taped_one(self, kind, monkeypatch):
         tensors, nbrs, params = conv_case(kind, 29, 40, 4, 3, 4, 320)
-        over_the_rule(kind, 4, 4, monkeypatch)
-        for workers in (1, 2):
-            taped = forward_on(workers, monkeypatch, kind, tensors, nbrs, params, 4, True)[0]
-            untaped = forward_on(workers, monkeypatch, kind, tensors, nbrs, params, 4, False)[0]
-            same_bits(untaped, taped)
+        over_several_blocks(kind, 4, 4, monkeypatch)
+        taped = forward(kind, tensors, nbrs, params, 4, True)[0]
+        untaped = forward(kind, tensors, nbrs, params, 4, False)[0]
+        same_bits(untaped, taped)
+        for out, _ in on_threads(2, lambda: forward(kind, tensors, nbrs, params, 4, False)):
+            same_bits(out, taped)
 
     def test_exact_zero_responses(self, kind, monkeypatch):
         # zero features (-0.0 among them): EdgeConv's responses are all exact
@@ -590,23 +655,32 @@ class TestParallelForward:
         for t in tensors[1], tensors[3]:
             t.data[:] = 0.0
             t.data[::3] = -0.0
-        over_the_rule(kind, 4, 4, monkeypatch)
-        taped = forward_on(2, monkeypatch, kind, tensors, nbrs, params, 4, True)[0]
-        untaped = forward_on(2, monkeypatch, kind, tensors, nbrs, params, 4, False)[0]
+        over_several_blocks(kind, 4, 4, monkeypatch)
+        taped = forward(kind, tensors, nbrs, params, 4, True)[0]
+        untaped = forward(kind, tensors, nbrs, params, 4, False)[0]
         if kind == "edge":
             assert (taped == 0.0).all()
         same_bits(untaped, taped)
 
     def test_small_forward_stays_on_the_calling_thread(self, kind, monkeypatch):
+        # no forward starts a thread, however many blocks it takes
         tensors, nbrs, params = conv_case(kind, 29, 40, 4, 3, 4, 340)
-        monkeypatch.setattr(L, "_executor", None)  # calling it would raise
-        forward_on(2, monkeypatch, kind, tensors, nbrs, params, 4, True)
+        over_several_blocks(kind, 4, 4, monkeypatch)
+
+        def no_thread(self):
+            raise AssertionError("the fused conv started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        forward(kind, tensors, nbrs, params, 4, True)
+        forward(kind, tensors, nbrs, params, 4, False)
 
     def test_forked_child_runs_a_parallel_forward(self, kind, monkeypatch):
+        # a child forked after forwards ran on several threads runs them
+        # again on several threads, with the same bits
         tensors, nbrs, params = conv_case(kind, 29, 40, 4, 3, 4, 350)
-        over_the_rule(kind, 4, 4, monkeypatch)
-        expected = forward_on(2, monkeypatch, kind, tensors, nbrs, params, 4, False)[0]
-        assert L._pool is not None
+        over_several_blocks(kind, 4, 4, monkeypatch)
+        expected = forward(kind, tensors, nbrs, params, 4, False)[0]
+        on_threads(2, lambda: forward(kind, tensors, nbrs, params, 4, False))
         child = multiprocessing.get_context("fork").Process(
             target=_forward_or_fail, args=(kind, tensors, nbrs, params, expected)
         )
@@ -615,15 +689,16 @@ class TestParallelForward:
         if child.is_alive():
             child.kill()
             child.join()
-            pytest.fail("the forked child's parallel forward did not finish in 60 s")
+            pytest.fail("the forked child's forwards did not finish in 60 s")
         assert child.exitcode == 0
 
 
 def _forward_or_fail(kind, tensors, nbrs, params, expected):
-    """A forked child's parallel forward; exits non-zero on other bits."""
-    with T.no_grad():
-        out = L._conv_over_edges(kind, *tensors, nbrs, params, "c", 4).data
-    sys.exit(0 if np.array_equal(out.view(np.uint64), expected.view(np.uint64)) else 1)
+    """A forked child's forwards on two threads; exits non-zero on other
+    bits."""
+    outs = on_threads(2, lambda: forward(kind, tensors, nbrs, params, 4, False)[0])
+    same = all(np.array_equal(out.view(np.uint64), expected.view(np.uint64)) for out in outs)
+    sys.exit(0 if same else 1)
 
 
 class TestGraphPool:

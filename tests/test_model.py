@@ -20,10 +20,10 @@ from spcnet.model import (
     scm_forward,
     spcnet_forward,
     stage_names,
-    zero_fold_heads,
 )
 from spcnet.rng import Rng
 from spcnet.tensor import Tensor
+from reference_ops import zero_fold_heads
 
 TINY = ModelConfig(
     points_per_shape=64, width_scale=0.0625, knn_k=4, down_rate=2,
