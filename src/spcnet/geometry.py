@@ -14,10 +14,10 @@ import numpy as np
 from .rng import Rng
 
 
-# Blocked kernels (distances here, per-edge arrays in ``layers``) take rows
-# in blocks of about this many bytes, counted at the bytes per row each
-# caller gives: one array's row in ``layers``, every array the distance
-# kernels hold at once here (``_PAIR_BYTES`` per pair).
+# Blocked kernels (distances here, the fused graph conv in ``layers``) take
+# rows in blocks of about this many bytes, counted at the bytes per row each
+# caller gives: every array the distance kernels hold at once here
+# (``_PAIR_BYTES`` per pair), and the conv's scratch per row there.
 _BLOCK_BYTES = 2 << 20
 
 

@@ -108,13 +108,6 @@ def self_knn_k(k: int, n: int) -> int:
 CONVS = {"adapt": adaptconv_params, "edge": edgeconv_params}
 
 
-# A projection is made a fixed chunk of this many rows at a time, whatever
-# the block budget: BLAS rounds a product's rows by the rows it is given.
-# Measured on a 2-vCPU Xeon with one BLAS thread: per row, products of 8
-# rows cost 1.3-2.7x the whole projection's, and of 32 rows 0.67-0.97x at
-# the benchmark's widths and 1.33x at a paper-scale pool2 (1.06x at 64 rows,
-# 0.91x at 128).
-_CHUNK_ROWS = 32
 # The reference pass groups a reference's incoming edges in rows of at most
 # this many, so that coincident points cannot widen every row to q * k.
 # Measured on a 2-vCPU Xeon with one BLAS thread: the convs of two 256-point
@@ -122,6 +115,15 @@ _CHUNK_ROWS = 32
 # and 32, and four taped 2048-point stage convs 41.7-42.4 ms at 8 and
 # 44.1-44.6 ms at 16.
 _REF_WIDTH = 8
+# A forward block takes a whole number of this many rows, the last block
+# the rest, whatever the block budget: each block projects its rows' owners
+# in one product, and BLAS rounds a product's rows by where they fall in its
+# row tiles (at 33 features and 42 projection columns, blocks of 33 rows
+# moved the last bits).  Measured on a 2-vCPU Xeon with one BLAS thread: per
+# row, products of 8 rows cost 1.3-2.7x the whole projection's, and of 32
+# rows 0.67-0.97x at the benchmark's widths and 1.33x at a paper-scale pool2
+# (1.06x at 64 rows, 0.91x at 128).
+_MIN_BLOCK_ROWS = 32
 # The weights are laid out about this many kernel values (a unit's at
 # least) at a time.  Measured on a 2-vCPU Xeon for a conv of 64 features
 # and 256 outputs: the forward's layout took 203 ms in blocks of 32 outputs
@@ -129,33 +131,39 @@ _REF_WIDTH = 8
 _LAYOUT_VALUES = 1 << 14
 
 
-def _chunk_runs(n: int, row_bytes: int) -> list:
-    """Cut points of runs of whole projection chunks over ``n`` rows, each
-    run about one block at ``row_bytes`` a row, or one chunk.
+def _forward_blocks(rows: int, row_bytes: int) -> list:
+    """Slices over ``rows`` rows of ``row_bytes`` each: one slice if
+    ``row_blocks`` takes them in one, else slices of about one
+    ``row_blocks`` block in whole multiples of ``_MIN_BLOCK_ROWS`` rows,
+    with the rest last.
 
-    A chunk is one product of ``_CHUNK_ROWS`` rows, and a lone last row
-    joins the chunk before it (a one-row product takes BLAS's matrix-vector
-    kernel, which rounds otherwise), so the bits depend on neither the block
-    budget nor the runs.
+    A lone last row joins the slice before it (a one-row product takes
+    BLAS's matrix-vector kernel, which rounds otherwise).
     """
-    cuts = list(range(0, n, _CHUNK_ROWS)) + [n]
-    if len(cuts) > 2 and n - cuts[-2] == 1:
+    step = row_blocks(max(1, rows), row_bytes)[0].stop
+    if step < rows:
+        step = max(_MIN_BLOCK_ROWS, step - step % _MIN_BLOCK_ROWS)
+    cuts = list(range(0, rows, step)) + [rows]
+    if len(cuts) > 2 and rows - cuts[-2] == 1:
         del cuts[-2]
-    per = max(1, row_blocks(max(1, n), row_bytes)[0].stop // _CHUNK_ROWS)
-    return [cuts[i : i + per + 1] for i in range(0, len(cuts) - 1, per)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def _carve(*shapes) -> list:
-    """Arrays of ``shapes`` cut from one allocation.
+    """Arrays of ``shapes`` cut from one allocation of whole MiB.
 
     Freed as one block, a forward's scratch stays with the allocator for
     the next forward.  Freed as several blocks of a similar size, glibc
     handed it back to the system at each return, and the next forward
     faulted its pages in again: 2193 page faults per 256-point no-grad
-    forward, against none in one block.
+    forward, against none in one block.  In whole MiB, a conv's freed
+    scratch fits the next one of about its size: unrounded, the pool2
+    conv of a 2048-point forward (4.16 MiB of scratch, pool1's 4.11) took
+    fresh heap, and ``infer_2k``'s peak RSS read about 3.5 MB higher in
+    13 of 20 runs of ``perfbench/run.py``; rounded, in 2 of 20.
     """
     sizes = [math.prod(shape) for shape in shapes]
-    work = np.empty(sum(sizes))
+    work = np.empty(-(-sum(sizes) // (1 << 17)) << 17)  # float64s
     views, end = [], 0
     for shape, size in zip(shapes, sizes):
         views.append(work[end : end + size].reshape(shape))
@@ -190,19 +198,22 @@ def _conv_over_edges(
     its ``theta`` is the bias unit's row, the terms are ``A[i]`` and
     ``B[j]`` themselves, and its coordinates get no gradient.
 
-    Forward runs two passes, each over blocks of about ``_BLOCK_BYTES``,
-    with the projections made a fixed chunk of rows at a time and the
-    hidden units recomputed per block.  The reference pass takes the edges
-    stably sorted by reference, in rows of at most ``_REF_WIDTH`` edges of
-    one reference padded to a common width, and makes each row's terms as
-    one product with its reference's ``B``; it writes them back in edge
-    order, the one ``[q * k, m_out]`` array the forward holds whole.  The
-    centre pass makes each centre's terms as one product with its ``A``,
-    adds the reference terms, and keeps the max over neighbours; with a
-    tape it keeps the argmax too (ties to the lowest neighbour slot).
-    Backward needs only the max edges: it recomputes their hidden units
-    and responses from the inputs, and contracts with the weights before
-    scattering to the references.
+    Forward makes both sides' terms with one routine over a block of edge
+    groups, each group the edges of one owning point: it gathers the other
+    side's generator inputs, adds the owner's, applies the leaky unit,
+    multiplies by the owner's projection (the block's owners projected in
+    one product) and adds the bias unit's row.  Blocks take about
+    ``_BLOCK_BYTES``, in whole multiples of ``_MIN_BLOCK_ROWS`` rows.  The
+    reference pass groups the edges stably sorted by reference, in rows of
+    at most ``_REF_WIDTH`` edges of one reference padded to a common width
+    (a reference no edge reaches has no row), and writes the terms back in
+    edge order, the one ``[q * k, m_out]`` array the forward holds whole.
+    The centre pass groups each centre's neighbours, adds the reference
+    terms, and keeps the max over neighbours; with a tape it keeps the
+    argmax too (ties to the lowest neighbour slot).  Backward needs only
+    the max edges: it recomputes their hidden units and responses from the
+    inputs, and contracts with the weights before scattering to the
+    references.
     """
     if kind not in CONVS:
         raise ValueError(f"unknown convolution kind {kind!r}")
@@ -252,89 +263,58 @@ def _conv_over_edges(
     def generator_inputs():
         return xc @ w0_c + b0, xr @ w0_r
 
-    def leaky_in_place(pre, tmp):
-        """``pre`` = leaky(``pre``): the hidden units but the bias unit, as
-        ``_hidden_units``."""
-        np.multiply(pre, EDGE_SLOPE, out=tmp)
-        return np.maximum(pre, tmp, out=pre)
-
-    def project(x, w, cuts):
-        """``x[cuts[0]:cuts[-1]] @ w`` as [rows, units, m_out], a chunk at a
-        time."""
-        lo = cuts[0]
-        for a, b in zip(cuts, cuts[1:]):
-            np.matmul(x[a:b], w, out=proj_buf[a - lo : b - lo])
-        return proj_buf[: cuts[-1] - lo].reshape(-1, units, m_out)
-
-    def edge_buffers(rows, width):
-        """Pre-activations, scratch and responses of ``rows`` rows of
-        ``width`` edges."""
-        n = rows * width
-        return (
-            pre_buf[:n].reshape(rows, width, units - 1),
-            tmp_buf[:n].reshape(rows, width, units - 1),
-            h_buf[:n].reshape(rows, width, m_out),
-        )
-
-    # [d, units * m_out] views of the weights, whose product gives a
-    # projection's rows: the adaptive kernel's are laid out so, and
-    # EdgeConv's are [m_out, d] read transposed (BLAS rounds by the layout)
-    w_c, w_r = (
-        w.transpose(1, 2, 0).reshape(d, -1)
-        for w in factored_weights((1, 2, 0) if units > 1 else (0, 1, 2))
-    )
+    # the weights as [d, units * m_out] views in memory order, whose
+    # product gives a projection's rows (EdgeConv's read transposed, its
+    # rows' bits moved with the block size)
+    w_c, w_r = (w.transpose(1, 2, 0).reshape(d, -1) for w in factored_weights((1, 2, 0)))
     hid_c, hid_r = generator_inputs()
 
     # The reference pass takes each reference's incoming edges, in edge
-    # order, in one row of ``width`` slots or more (a padding slot names
-    # edge q * k, a spare row); a reference that no edge reaches keeps a
-    # padding row, so that while no reference overflows its row, rows are
-    # references.
+    # order, in rows of ``width`` slots (a padding slot names edge q * k,
+    # a spare row); ``row_ref`` names each row's reference.
     flat = neighbors.reshape(-1)
     # numpy sorts 16-bit keys by radix, 6x faster at 32768 edges
     order = np.argsort(flat.astype(np.uint16) if r <= 1 << 16 else flat, kind="stable")
     counts = np.bincount(flat, minlength=r)
     width = max(1, min(_REF_WIDTH, int(counts.max(initial=0))))
-    bounds = np.zeros(r + 1, dtype=np.intp)
-    np.cumsum(np.maximum(-(-counts // width), 1), out=bounds[1:])
-    aligned = bounds[-1] == r
-    row_ref = None if aligned else np.repeat(np.arange(r), np.diff(bounds))
-    slots = np.full((bounds[-1], width), q * k)
-    first_slot = bounds[:-1] * width - (np.cumsum(counts) - counts)
+    ref_rows = -(-counts // width)
+    row_ref = np.repeat(np.arange(r), ref_rows)
+    slots = np.full((row_ref.size, width), q * k)
+    first_slot = (np.cumsum(ref_rows) - ref_rows) * width - (np.cumsum(counts) - counts)
     slots.reshape(-1)[first_slot[flat[order]] + np.arange(flat.size)] = order
 
-    # Both passes take blocks of about _BLOCK_BYTES, and each its
-    # projection a run of chunks at a time, in one shared buffer.
-    ref_bytes = 8 * (units * m_out + width * (2 * units + m_out))
-    centre_bytes = 8 * (units * m_out + k * (2 * units + m_out))
-    ref_runs, centre_runs = _chunk_runs(r, ref_bytes), _chunk_runs(q, centre_bytes)
-    block_edges = max(
-        row_blocks(max(1, bounds[-1]), ref_bytes)[0].stop * width,
-        row_blocks(max(1, q), centre_bytes)[0].stop * k,
-    )
-    span = max(run[-1] - run[0] for run in ref_runs + centre_runs)
+    # Both passes take blocks of about _BLOCK_BYTES, in one set of buffers
+    # carved with the reference terms.
+    def blocks(rows, width):
+        return _forward_blocks(rows, 8 * (units * m_out + width * (2 * units + m_out)))
+
+    ref_blocks, centre_blocks = blocks(row_ref.size, width), blocks(q, k)
+    spans = [(b.stop - b.start, width) for b in ref_blocks]
+    spans += [(b.stop - b.start, k) for b in centre_blocks]
+    block_edges = max(rows * n for rows, n in spans)
     ref_terms, proj_buf, pre_buf, tmp_buf, h_buf = _carve(
-        (q * k + 1, m_out), (span, units * m_out),
+        (q * k + 1, m_out), (max(rows for rows, _ in spans), units * m_out),
         (block_edges, units - 1), (block_edges, units - 1), (block_edges, m_out),
     )
 
-    for cuts in ref_runs:
-        proj_r = project(fr, w_r, cuts)
-        lo, hi = cuts[0], cuts[-1]
-        for block in row_blocks(bounds[hi] - bounds[lo], ref_bytes):
-            rows = slice(bounds[lo] + block.start, bounds[lo] + block.stop)
-            pre, tmp, h = edge_buffers(block.stop - block.start, width)
-            refs = rows if aligned else row_ref[rows]
-            proj = proj_r[block] if aligned else proj_r[refs - lo]
-            edges = slots[rows]
-            if units > 1:
-                # "clip" skips take's buffered bounds check and maps the
-                # padding's centre q to a real one
-                pre = np.take(hid_c, edges // k, axis=0, out=pre, mode="clip")
-                pre += hid_r[refs, None]
-                h = np.matmul(leaky_in_place(pre, tmp), proj[:, :-1], out=h)
-                proj = np.add(h, proj[:, -1:], out=h)  # the bias unit's term
-            ref_terms[edges] = proj
+    def terms(owners, others, hid_own, hid_other, f_own, w):
+        """[rows, width, m_out] terms of the edges from each point of
+        ``owners`` to its row of ``others``, the other side's points."""
+        n, width = others.shape
+        proj = np.matmul(f_own[owners], w, out=proj_buf[:n]).reshape(n, units, m_out)
+        pre, tmp = (buf[: n * width].reshape(n, width, units - 1) for buf in (pre_buf, tmp_buf))
+        # "clip" skips take's buffered bounds check and maps the padding's
+        # centre q to a real one; the neighbours were checked
+        pre = np.take(hid_other, others, axis=0, out=pre, mode="clip")
+        pre += hid_own[owners, None]
+        np.maximum(pre, np.multiply(pre, EDGE_SLOPE, out=tmp), out=pre)  # leaky, as _hidden_units
+        h = np.matmul(pre, proj[:, :-1], out=h_buf[: n * width].reshape(n, width, m_out))
+        h += proj[:, -1:]  # the bias unit's term
+        return h
+
+    for rows in ref_blocks:
+        edges = slots[rows]
+        ref_terms[edges] = terms(row_ref[rows], edges // k, hid_r, hid_c, fr, w_r)
     ref_terms = ref_terms[:-1].reshape(q, k, m_out)
 
     # The centre pass adds each centre's terms to its edges' reference
@@ -343,33 +323,20 @@ def _conv_over_edges(
     best = np.empty((q, m_out))
     arg = np.empty((q, m_out), dtype=np.intp) if taped else None
     later = np.empty(q * m_out, dtype=bool) if taped else None
-    for cuts in centre_runs:
-        proj_c = project(fc, w_c, cuts)
-        lo = cuts[0]
-        for block in row_blocks(cuts[-1] - lo, centre_bytes):
-            rows = slice(lo + block.start, lo + block.stop)
-            pre, tmp, h = edge_buffers(block.stop - block.start, k)
-            if units > 1:
-                # "clip" skips take's buffered bounds check; the indices were checked
-                pre = np.take(hid_r, neighbors[rows], axis=0, out=pre, mode="clip")
-                pre += hid_c[rows, None]
-                proj = proj_c[block]
-                h = np.matmul(leaky_in_place(pre, tmp), proj[:, :-1], out=h)
-                h += proj[:, -1:]  # the bias unit's term
-                h += ref_terms[rows]
-            else:  # the one unit is the constant 1
-                h = np.add(ref_terms[rows], proj_c[block], out=h)
-            # the max over neighbours a slot at a time, which numpy takes
-            # faster than a reduction over the middle axis
-            top = best[rows]
-            top[:] = h[:, 0]
-            if taped:
-                at, greater = arg[rows], later[: top.size].reshape(top.shape)
-                at[:] = 0
-            for slot in range(1, k):
-                if taped:  # ties to the lowest neighbour slot
-                    np.copyto(at, slot, where=np.greater(h[:, slot], top, out=greater))
-                np.maximum(top, h[:, slot], out=top)
+    for rows in centre_blocks:
+        h = terms(rows, neighbors[rows], hid_c, hid_r, fc, w_c)
+        h += ref_terms[rows]
+        # the max over neighbours a slot at a time, which numpy takes
+        # faster than a reduction over the middle axis
+        top = best[rows]
+        top[:] = h[:, 0]
+        if taped:
+            at, greater = arg[rows], later[: top.size].reshape(top.shape)
+            at[:] = 0
+        for slot in range(1, k):
+            if taped:  # ties to the lowest neighbour slot
+                np.copyto(at, slot, where=np.greater(h[:, slot], top, out=greater))
+            np.maximum(top, h[:, slot], out=top)
     out_data = best * _leaky_factor(best)
 
     def bwd(g):

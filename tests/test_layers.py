@@ -404,18 +404,20 @@ class TestFusedConv:
         assert_matches_composite(kind, tensors, nbrs, params, 3)
 
     def test_ragged_blocks(self, kind, monkeypatch):
-        tensors, nbrs, params = conv_case(kind, 11, 24, 4, 3, 2, 93)
-        units = 3 if kind == "adapt" else 1
-        # 3 centres per block: blocks of 3, 3, 3 and a ragged 2
-        monkeypatch.setattr(G, "_BLOCK_BYTES", 8 * 4 * units * 2 * 3)
+        tensors, nbrs, params = conv_case(kind, 75, 90, 4, 3, 2, 93)
+        # blocks of the fewest rows: 32, 32 and a ragged 11 centres
+        runs = over_several_blocks(kind, 4, 2, monkeypatch)
         assert_matches_composite(kind, tensors, nbrs, params, 2)
+        assert [b.stop - b.start for b in runs[-1]] == [32, 32, 11]  # the centre pass
 
     def test_backward_over_several_blocks(self, kind, monkeypatch):
-        q, d, m_out = 13, 3, 4
-        tensors, nbrs, params = conv_case(kind, q, 30, 4, d, m_out, 98)
+        q, d, m_out = 100, 3, 4
+        tensors, nbrs, params = conv_case(kind, q, 120, 4, d, m_out, 98)
         units = m_out + 1 if kind == "adapt" else 1  # generator units and the bias unit
-        # 3 rows per backward block: blocks of 3, 3, 3, 3 and a ragged 1
+        # 3 rows per backward block: 33 blocks of 3 and a ragged 1; the
+        # forward's blocks take the fewest rows, 32
         monkeypatch.setattr(G, "_BLOCK_BYTES", 2 * m_out * max(units, d) * 3)
+        runs = spy_forward_blocks(monkeypatch)
         counts = []
 
         def counted(rows, row_bytes):
@@ -426,25 +428,31 @@ class TestFusedConv:
         monkeypatch.setattr(L, "row_blocks", counted)
         assert_matches_composite(kind, tensors, nbrs, params, m_out)
         # the forward's passes over several blocks too, then the backward's
-        assert max(counts[:-1]) > 1 and counts[-1] == 5
+        assert max(map(len, runs)) > 1 and counts[-1] == 34
 
     def test_forward_bits_independent_of_block_size(self, kind, monkeypatch):
-        # 67 centres in blocks of 1, 3 or 16 rows, or one block (an unbounded
-        # budget); m_out * units is no multiple of 8, and at 33 features and
-        # 6 outputs BLAS rounds a product's rows by the rows it is given, so
-        # the projections' chunks must not follow the blocks
+        # 300 centres at budgets of 32, 33 or 64 rows, or one block (an
+        # unbounded budget); m_out * units is no multiple of 8, and at 33
+        # features and 6 outputs BLAS rounds a product's rows by where they
+        # fall in its row tiles, which blocks of 33 rows would move, as
+        # would EdgeConv's weights read transposed
         seed = 94
-        cases = itertools.product(((3, 5), (33, 6)), (1, 3, 16, None), (False, True))
+        cases = itertools.product(((3, 5), (33, 6)), (32, 33, 64, None), (False, True))
         for (d, m_out), block_rows, taped in cases:
             # fresh inputs per case, and the blocked forward first, so no
             # buffer of an earlier forward can stand in for its rows
             seed += 1
-            tensors, nbrs, params = conv_case(kind, 67, 90, 6, d, m_out, seed)
+            tensors, nbrs, params = conv_case(kind, 300, 330, 6, d, m_out, seed)
+            for name in WEIGHTS[kind][1::2]:  # nonzero generator biases, as trained
+                bias = params[name].data
+                bias[:] = np.random.default_rng(seed).standard_normal(bias.shape)
             budget = 1 << 62 if block_rows is None else row_bytes(kind, 6, m_out) * block_rows
             with monkeypatch.context() as m:
                 m.setattr(G, "_BLOCK_BYTES", budget)
+                runs = spy_forward_blocks(m)
                 with T.no_grad() if not taped else contextlib.nullcontext():
                     out = L._conv_over_edges(kind, *tensors, nbrs, params, "c", m_out)
+            assert (len(runs[-1]) > 1) == (block_rows is not None)  # the centre pass
             grads = []
             if taped:  # at the default budget: the backward's blocks set its sums
                 backward(probe(out, 5))
@@ -457,13 +465,18 @@ class TestFusedConv:
                 else:
                     same_bits(a, b)
 
-    def test_reference_grouping_edge_cases(self, kind):
-        # a reference that no edge reaches, every edge on one reference (more
-        # than a row of edges, so its edges take several rows), one centre,
-        # and one neighbour
+    def test_reference_grouping_edge_cases(self, kind, monkeypatch):
+        # a reference that no edge reaches (it holds no row: the reference
+        # pass takes ceil(count / width) rows of each), every edge on one
+        # reference (more than a row of edges, so its edges take several
+        # rows), one centre, and one neighbour
         tensors, nbrs, params = conv_case(kind, 6, 20, 3, 2, 3, 99)
-        assert (np.bincount(nbrs.reshape(-1), minlength=20) == 0).any()
+        counts = np.bincount(nbrs.reshape(-1), minlength=20)
+        assert (counts == 0).any()
+        width = min(L._REF_WIDTH, counts.max())
+        runs = spy_forward_blocks(monkeypatch)
         assert_matches_composite(kind, tensors, nbrs, params, 3)
+        assert runs[0][-1].stop == (-(-counts // width)).sum() < 20  # the reference pass
         tensors, nbrs, params = conv_case(kind, 9, 12, 5, 2, 3, 100)
         nbrs = np.full_like(nbrs, 7)
         assert nbrs.size > L._REF_WIDTH
@@ -502,7 +515,7 @@ class TestFusedConv:
 
 def test_forward_holds_neither_projection_whole():
     # an untaped forward holds the reference terms in edge order whole, and
-    # each projection a run of chunks at a time: the traced peak stays
+    # each projection a block of rows at a time: the traced peak stays
     # below the size of the reference projection, which the forward once
     # held whole
     q, m_out = 1024, 32
@@ -517,6 +530,30 @@ def test_forward_holds_neither_projection_whole():
     finally:
         tracemalloc.stop()
     assert peak < projection
+
+
+def test_forward_blocks_take_whole_multiples_of_the_row_floor(monkeypatch):
+    def sizes(rows):
+        return [b.stop - b.start for b in L._forward_blocks(rows, 8)]
+
+    assert L._MIN_BLOCK_ROWS == 32
+    monkeypatch.setattr(G, "_BLOCK_BYTES", 8)  # a one-row budget
+    assert sizes(65) == [32, 33]  # a lone last row joins the block before
+    assert sizes(33) == [33]
+    assert sizes(64) == [32, 32]
+    assert sizes(0) == []
+    monkeypatch.setattr(G, "_BLOCK_BYTES", 8 * 70)  # whole multiples of the floor
+    assert sizes(100) == [64, 36]
+    assert sizes(70) == [70]
+    monkeypatch.setattr(G, "_BLOCK_BYTES", 1 << 62)  # unbounded
+    assert sizes(1000) == [1000]
+
+
+def test_carve_takes_whole_mib():
+    small, large = L._carve((3, 5), (2,)), L._carve((1 << 17,), (1,))
+    assert [a.shape for a in small] == [(3, 5), (2,)]
+    assert small[0].base.size == 1 << 17 and large[0].base.size == 2 << 17
+    assert np.shares_memory(small[0].base, small[1])
 
 
 # sha256 of EdgeConv forward outputs on a pool table and on a self table,
@@ -552,10 +589,31 @@ def row_bytes(kind, k, m_out):
     return 8 * (units * m_out + k * (2 * units + m_out))
 
 
+def spy_forward_blocks(monkeypatch):
+    """A list that gets the blocks of each pass the fused conv's forward
+    runs, in the order it runs them."""
+    runs, blocks_of = [], L._forward_blocks
+
+    def spied(rows, row_bytes):
+        runs.append(blocks_of(rows, row_bytes))
+        return runs[-1]
+
+    monkeypatch.setattr(L, "_forward_blocks", spied)
+    return runs
+
+
 def over_several_blocks(kind, k, m_out, monkeypatch):
-    """Shrink the block budget so a conv of 29 centres with k neighbours
-    runs over blocks of 4 centre rows."""
-    monkeypatch.setattr(G, "_BLOCK_BYTES", row_bytes(kind, k, m_out) * 4)
+    """Shrink the block budget to one centre row of k neighbours, so the
+    forward's blocks take the fewest rows (``L._MIN_BLOCK_ROWS``): a conv
+    of 100 centres runs its centre pass over 4 blocks.  Returns the
+    spy of ``spy_forward_blocks``."""
+    monkeypatch.setattr(G, "_BLOCK_BYTES", row_bytes(kind, k, m_out))
+    return spy_forward_blocks(monkeypatch)
+
+
+def assert_several_blocks(runs):
+    """Some pass of a spied forward ran over more than one block."""
+    assert max(map(len, runs)) > 1
 
 
 def forward(kind, tensors, nbrs, params, m_out, taped):
@@ -603,9 +661,10 @@ class TestParallelForward:
         # starts from its own copies of the leaves; at 33 features and 6
         # outputs BLAS rounds a product's rows by the rows it is given
         for d, m_out in ((3, 4), (33, 6)):
-            tensors, nbrs, params = conv_case(kind, 29, 40, 4, d, m_out, 300 + taped)
-            over_several_blocks(kind, 4, m_out, monkeypatch)
+            tensors, nbrs, params = conv_case(kind, 100, 120, 4, d, m_out, 300 + taped)
+            runs = over_several_blocks(kind, 4, m_out, monkeypatch)
             serial = forward(kind, tensors, nbrs, params, m_out, taped)
+            assert_several_blocks(runs)
 
             def job():
                 copies = [Tensor(t.data, True) for t in tensors]
@@ -628,7 +687,7 @@ class TestParallelForward:
         workers = (os.cpu_count() or 1) + 2
         tensors, nbrs, params = conv_case(kind, 400, 400, 8, 6, 16, 310, pool=False)
         serial = forward(kind, tensors, nbrs, params, 16, False)[0]
-        monkeypatch.setattr(G, "_BLOCK_BYTES", row_bytes(kind, 8, 16) * 2)  # 2 rows a block
+        runs = over_several_blocks(kind, 8, 16, monkeypatch)  # blocks of 32 rows
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -636,14 +695,16 @@ class TestParallelForward:
                 outs = on_threads(workers, lambda: forward(kind, tensors, nbrs, params, 16, False))
                 for out, _ in outs:
                     same_bits(out, serial)
+            assert_several_blocks(runs)
         finally:
             sys.setswitchinterval(interval)
 
     def test_untaped_forward_is_the_taped_one(self, kind, monkeypatch):
-        tensors, nbrs, params = conv_case(kind, 29, 40, 4, 3, 4, 320)
-        over_several_blocks(kind, 4, 4, monkeypatch)
+        tensors, nbrs, params = conv_case(kind, 100, 120, 4, 3, 4, 320)
+        runs = over_several_blocks(kind, 4, 4, monkeypatch)
         taped = forward(kind, tensors, nbrs, params, 4, True)[0]
         untaped = forward(kind, tensors, nbrs, params, 4, False)[0]
+        assert_several_blocks(runs)
         same_bits(untaped, taped)
         for out, _ in on_threads(2, lambda: forward(kind, tensors, nbrs, params, 4, False)):
             same_bits(out, taped)
@@ -651,21 +712,22 @@ class TestParallelForward:
     def test_exact_zero_responses(self, kind, monkeypatch):
         # zero features (-0.0 among them): EdgeConv's responses are all exact
         # zeros, every edge ties, and the max must not depend on the tape
-        tensors, nbrs, params = conv_case(kind, 29, 40, 4, 1, 4, 330)
+        tensors, nbrs, params = conv_case(kind, 100, 120, 4, 1, 4, 330)
         for t in tensors[1], tensors[3]:
             t.data[:] = 0.0
             t.data[::3] = -0.0
-        over_several_blocks(kind, 4, 4, monkeypatch)
+        runs = over_several_blocks(kind, 4, 4, monkeypatch)
         taped = forward(kind, tensors, nbrs, params, 4, True)[0]
         untaped = forward(kind, tensors, nbrs, params, 4, False)[0]
+        assert_several_blocks(runs)
         if kind == "edge":
             assert (taped == 0.0).all()
         same_bits(untaped, taped)
 
     def test_small_forward_stays_on_the_calling_thread(self, kind, monkeypatch):
         # no forward starts a thread, however many blocks it takes
-        tensors, nbrs, params = conv_case(kind, 29, 40, 4, 3, 4, 340)
-        over_several_blocks(kind, 4, 4, monkeypatch)
+        tensors, nbrs, params = conv_case(kind, 100, 120, 4, 3, 4, 340)
+        runs = over_several_blocks(kind, 4, 4, monkeypatch)
 
         def no_thread(self):
             raise AssertionError("the fused conv started a thread")
@@ -673,13 +735,15 @@ class TestParallelForward:
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         forward(kind, tensors, nbrs, params, 4, True)
         forward(kind, tensors, nbrs, params, 4, False)
+        assert_several_blocks(runs)
 
     def test_forked_child_runs_a_parallel_forward(self, kind, monkeypatch):
         # a child forked after forwards ran on several threads runs them
         # again on several threads, with the same bits
-        tensors, nbrs, params = conv_case(kind, 29, 40, 4, 3, 4, 350)
-        over_several_blocks(kind, 4, 4, monkeypatch)
+        tensors, nbrs, params = conv_case(kind, 100, 120, 4, 3, 4, 350)
+        runs = over_several_blocks(kind, 4, 4, monkeypatch)
         expected = forward(kind, tensors, nbrs, params, 4, False)[0]
+        assert_several_blocks(runs)
         on_threads(2, lambda: forward(kind, tensors, nbrs, params, 4, False))
         child = multiprocessing.get_context("fork").Process(
             target=_forward_or_fail, args=(kind, tensors, nbrs, params, expected)
