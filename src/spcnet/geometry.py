@@ -240,7 +240,7 @@ def _grid_search(query_cols, ref_cols, pick, k, out):
     lo, side, dims, scale = grid
     cell_ids = np.ravel_multi_index(_cells(ref_cols, lo, side, dims), dims)
     query_cell = _cells(query_cols, lo, side, dims)
-    cells, cell_of_query = _distinct(np.ravel_multi_index(query_cell, dims))
+    cells, cell_of_query = np.unique(np.ravel_multi_index(query_cell, dims), return_inverse=True)
 
     # each occupied query cell's block as 27 runs of the reference points
     # sorted by cell (ascending index within a cell)
@@ -328,7 +328,10 @@ def _cell_side(ref_cols, lo, extent, k, scale):
     r = ref_cols.shape[1]
     side = _fit_side(float(extent.max()) * np.sqrt(target / r), extent, scale)
     dims = (extent // side).astype(np.intp) + 1
-    occupied = _distinct(np.ravel_multi_index(_cells(ref_cols, lo, side, dims), dims))[0].size
+    # with an inverse asked for, numpy sorts; without one it builds a hash
+    # table, which raised the inference benchmark's peak RSS by about 1.4 MB
+    ids = np.ravel_multi_index(_cells(ref_cols, lo, side, dims), dims)
+    occupied = np.unique(ids, return_inverse=True)[0].size
     return _fit_side(side * float(np.sqrt(target * occupied / r)), extent, scale)
 
 
@@ -339,20 +342,6 @@ def _fit_side(side, extent, scale):
     while np.prod(extent // side + 1) > _GRID_MAX_CELLS:
         side *= 2.0
     return side
-
-
-def _distinct(ids):
-    """(ascending distinct values, each entry's position among them) of an
-    integer array, by sorting: ``np.unique`` hashes integers, and that
-    raised the inference benchmark's peak RSS by about 1.4 MB."""
-    order = np.argsort(ids, kind="stable")
-    ranked = ids[order]
-    new = np.empty(ids.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    position = np.empty(ids.size, dtype=np.intp)
-    position[order] = np.cumsum(new) - 1
-    return ranked[new], position
 
 
 def _cells(cols, lo, side, dims):

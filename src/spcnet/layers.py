@@ -346,7 +346,6 @@ def _conv_over_edges(
         hid_c, hid_r = generator_inputs()
         g_fc = np.empty_like(fc)
         g_fr = np.zeros_like(fr)
-        r = fr.shape[0]
         g_w_c = np.zeros_like(w_c)
         g_w_r = np.zeros_like(w_r)
         g_hid_c = np.empty_like(hid_c)

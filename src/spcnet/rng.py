@@ -124,9 +124,9 @@ class Rng:
         u = (self.next_uint64() >> 11) * _INV_2_53
         return lo + (hi - lo) * u
 
-    def uniform_array(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        """``shape`` draws of ``uniform(lo, hi)``, in row-major order: the
-        same values, and the same state afterwards, as drawing them one by one."""
+    def uniform_array(self, shape) -> np.ndarray:
+        """``shape`` unit draws in row-major order: the same values, and the
+        same state afterwards, as that many ``uniform()`` calls."""
         n = int(np.prod(shape))
         out = np.empty(n, dtype=np.float64)
         whole = 0
@@ -134,11 +134,11 @@ class Rng:
             # lanes 2^k long, k chosen so that the lane length is about sqrt(n)
             k = (n.bit_length() - 1) // 2
             whole = n >> k << k
-            self._fill_lanes(out[:whole].reshape(-1, 1 << k), lo, hi - lo)
-        out[whole:] = [self.uniform(lo, hi) for _ in range(whole, n)]
+            self._fill_lanes(out[:whole].reshape(-1, 1 << k))
+        out[whole:] = [self.uniform() for _ in range(whole, n)]
         return out.reshape(shape)
 
-    def _fill_lanes(self, out: np.ndarray, lo: float, span: float) -> None:
+    def _fill_lanes(self, out: np.ndarray) -> None:
         """Fill ``out`` [lanes, L], L a power of two, from the stream, lane
         j's i-th value being the stream's value j L + i, and leave the state
         at the end of the last lane."""
@@ -169,11 +169,7 @@ class Rng:
                 np.left_shift(s3, 45, out=t)
                 s3 >>= 19
                 s3 |= t
-            # (r >> 11) is exact in float64 and 2^-53 a power of two, so these
-            # round exactly as lo + span * ((r >> 11) * 2^-53) does
             rows *= _INV_2_53
-            rows *= span
-            rows += lo
             out[:, start : start + len(rows)] = rows.T
         self._s = [int(s0[-1]), int(s1[-1]), int(s2[-1]), int(s3[-1])]
 

@@ -96,10 +96,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
 
@@ -149,10 +145,8 @@ class Tensor:
     # -- shape ops ------------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old = self.data.shape
-        out_data = self.data.reshape(shape)
+        out_data = self.data.reshape(*shape)
 
         def bwd(g):
             self._accumulate(g.reshape(old), owned=True)

@@ -475,6 +475,16 @@ class TestMetaEntries:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.spcn"]
 
+    def test_blank_lines_in_the_config_block_are_skipped(self, tmp_path):
+        path = tmp_path / "m.spcn"
+        save_checkpoint(make_checkpoint(26), path)
+        plain = load_checkpoint(path)
+        rewrite_config_block(path, b"has_adam=False\n", b"\nhas_adam=False\n\n")
+        loaded = load_checkpoint(path)
+        assert loaded.config == plain.config and loaded.meta == plain.meta
+        for name, p in plain.params.items():
+            np.testing.assert_array_equal(loaded.params[name].data, p.data)
+
     def test_other_text_round_trips(self, tmp_path):
         path = tmp_path / "m.spcn"
         ckpt = make_checkpoint(25)

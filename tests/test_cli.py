@@ -669,6 +669,16 @@ class TestEval:
         assert len(errors) == 1 and "must be finite" in errors[0]
         assert not (tmp_path / "r.csv").exists()
 
+    def test_two_coordinate_viewpoint_is_usage_error(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert main([
+            "eval", "--ckpt", str(tmp_path / "m.spcn"), "--data", str(tmp_path),
+            "--viewpoint=1,1", "--report", str(tmp_path / "r.csv"),
+        ]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "viewpoint needs 3 coordinates, got '1,1'" in errors[0]
+        assert not (tmp_path / "r.csv").exists()
+
     def test_round_trip_preserves_report(self, trained, data_dir, tmp_path):
         import shutil
 

@@ -176,6 +176,11 @@ class TestGenerate:
         with pytest.raises(ValueError, match="unknown shape kind"):
             generate_shapes(["dodecahedron"], 1, 64, 0)
 
+    @pytest.mark.parametrize("count, n", [(0, 64), (1, 1)])
+    def test_too_few_shapes_or_points_rejected(self, count, n):
+        with pytest.raises(ValueError, match="need at least one shape and two points per shape"):
+            generate_shapes(["sphere"], count, n, 0)
+
     def test_load_round_trip(self, tmp_path):
         out = tmp_path / "data"
         written = generate_dataset(out, ["torus", "plane"], 3, 64, 11)
@@ -260,6 +265,19 @@ class TestIngest:
             "nan.pts" in message and "non-finite coordinate" in message
             for message in caplog.text.splitlines()
         )
+
+    def test_subfolder_skipped_and_one_point_file_skipped_with_warning(self, tmp_path, caplog):
+        root = self.make_tree(tmp_path)
+        nested = root / "chair" / "nested"
+        nested.mkdir()
+        (nested / "inner.pts").write_text("0 0 0\n1 1 1\n2 2 2\n")
+        (root / "chair" / "one.pts").write_text("0.5 0.5 0.5\n")
+        with caplog.at_level("WARNING"):
+            dataset = ingest_category_tree(root, points_per_shape=128, seed=0)
+        assert len(dataset.shapes) == 4
+        warnings = caplog.text.splitlines()
+        assert any("one.pts" in m and "fewer than 2 points" in m for m in warnings)
+        assert not any("nested" in m for m in warnings)
 
     def test_empty_tree_fatal(self, tmp_path):
         root = tmp_path / "empty"

@@ -29,7 +29,7 @@ def test_lane_fill_in_chunks_is_the_stream(monkeypatch, chunk):
     n = 64 * 70 + 9
     expected, after = one_by_one(38, n, -0.25, 0.75)
     rng = Rng(38)
-    assert rng.uniform_array(n, -0.25, 0.75).tobytes() == expected.tobytes()
+    assert (-0.25 + (0.75 - -0.25) * rng.uniform_array(n)).tobytes() == expected.tobytes()
     assert_same_state(rng, after)
 
 
@@ -63,7 +63,7 @@ def walked_one_draw_per_weight(seed):
     for kind, name, *dims in WALK:
         if kind == "weight":
             bound = 1.0 / np.sqrt(dims[0])
-            expected[name] = rng.uniform_array(tuple(dims), -bound, bound)
+            expected[name] = -bound + (bound - -bound) * rng.uniform_array(tuple(dims))
         elif kind == "bias":
             expected[name] = np.zeros(dims[0])
         else:

@@ -200,6 +200,11 @@ class TestRps:
         pts = cloud(30, 3)
         np.testing.assert_array_equal(rps(pts, 10, Rng(5)), rps(pts, 10, Rng(5)))
 
+    @pytest.mark.parametrize("n", [0, 13])
+    def test_count_outside_cloud_rejected(self, n):
+        with pytest.raises(ValueError, match=rf"rps: target count {n} outside \[1, 12\]"):
+            rps(cloud(12, 2), n, Rng(0))
+
     def test_selection_frequency_is_uniform(self):
         # 10^4 draws of 5 from 10: each index expected 5000, sd ~ 50
         pts = cloud(10, 4)
@@ -468,6 +473,15 @@ class TestCellGrid:
         sent = [check_knn(query, reference, k) for k in (1, 4)]
         sent.append(check_nearest(query, reference))
         assert all(rows.size < 1024 for rows in sent)
+
+    def test_coordinates_past_two_to_the_400(self):
+        # squares of such coordinates could overflow the grid's bounds, so
+        # the whole call takes the brute kernel
+        pts = cloud(512, 51) * 1e125
+        assert _grid(_columns(pts), 8) is None
+        assert check_knn(pts, pts, 8, exclude_self=True).size == 512
+        assert check_knn(pts[::2], pts, 3).size == 256
+        assert check_nearest(pts[::-1], pts).size == 512
 
     def test_k_is_n_minus_one(self):
         # every row needs the whole cloud, so every block would be it: the

@@ -513,6 +513,12 @@ class TestFusedConv:
         assert all(p._backward is None for p in out._parents)
 
 
+def test_unknown_conv_kind_rejected():
+    tensors, nbrs, params = conv_case("adapt", 5, 8, 2, 2, 3, 97)
+    with pytest.raises(ValueError, match="unknown convolution kind 'dense'"):
+        L._conv_over_edges("dense", *tensors, nbrs, params, "c", 3)
+
+
 def test_forward_holds_neither_projection_whole():
     # an untaped forward holds the reference terms in edge order whole, and
     # each projection a block of rows at a time: the traced peak stays
@@ -1103,6 +1109,10 @@ class TestVmlp:
             out = L.vmlp(Tensor(pts), self_graph(pts, 4), pb.entries, "v", spec)
             assert out.shape == (8, 5)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="VmlpSpec: unknown kind 'mlp'"):
+            L.VmlpSpec(sub_dims=(2, 3, 4, 4, 6), adjust_width=3, out_width=5, kind="mlp")
+
     def test_too_few_layers_rejected(self):
         with pytest.raises(ValueError, match="four layers"):
             L.VmlpSpec(sub_dims=(4, 4, 4), adjust_width=2, out_width=3)
@@ -1175,6 +1185,8 @@ class TestFoldDecode:
             L.grid_codes(3, 15, 0.05)
         with pytest.raises(ValueError, match="exceeds"):
             L.grid_codes(17, 16, 0.05)
+        with pytest.raises(ValueError, match="upsample factor must be >= 1, got 0"):
+            L.grid_codes(0, 16, 0.05)
 
     def test_gradients(self):
         params = self.build(2, 43)

@@ -77,6 +77,14 @@ class TestModelConfig:
         ({"grid_count": 15}, "grid_count must be a positive perfect square, got 15"),
         ({"grid_count": 1}, "upsample factor 2 exceeds grid_count 1"),
         ({"grid_count": 4, "upsample_factors": (2, 9, 1)}, "upsample factor 9 exceeds grid_count 4"),
+        ({"down_rate": 3}, "partial input of 32 points does not divide by down-sampling rate 3 "
+         "over 2 levels"),
+        ({"missing_ratio": 0.9375}, "partial input of 4 points does not divide by down-sampling "
+         "rate 2 over 2 levels"),
+        ({"scm_count": 2, "upsample_factors": (2, 2), "partial_substitution": "pnkk-pn"},
+         "pnkk-pn substitution needs the three-stage chain"),
+        ({"scm_count": 1, "upsample_factors": (2,), "partial_substitution": "pnk-pn"},
+         "pnk-pn substitution needs at least two stages"),
     ])
     def test_replace_cannot_make_an_invalid_config(self, change, message):
         with pytest.raises(ValueError) as info:

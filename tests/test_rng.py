@@ -42,8 +42,10 @@ def test_uniform_range_and_determinism():
 
 
 def test_uniform_array_shape_and_bounds():
-    arr = Rng(9).uniform_array((4, 5), -0.5, 0.5)
-    assert arr.shape == (4, 5)
+    u = Rng(9).uniform_array((4, 5))
+    assert u.shape == (4, 5)
+    assert np.all((u >= 0.0) & (u < 1.0))
+    arr = -0.5 + (0.5 - -0.5) * u
     assert np.all(np.abs(arr) <= 0.5)
 
 
@@ -77,7 +79,7 @@ def test_uniform_array_is_the_stream_drawn_one_by_one(n):
 def test_uniform_array_2d_shape_is_row_major():
     expected, after = drawn_one_by_one(32, 48 * 50, -0.125, 0.375)
     rng = Rng(32)
-    got = rng.uniform_array((48, 50), -0.125, 0.375)
+    got = -0.125 + (0.375 - -0.125) * rng.uniform_array((48, 50))
     assert got.shape == (48, 50)
     assert got.tobytes() == expected.tobytes()
     assert_same_stream_after(rng, after)
@@ -89,7 +91,8 @@ def test_uniform_array_scales_as_uniform(n, lo, hi):
     reference = Rng(33)
     assert expected.tobytes() == np.array([reference.uniform(lo, hi) for _ in range(n)]).tobytes()
     rng = Rng(33)
-    got = rng.uniform_array(n, lo, hi)
+    # the map the array samplers and ParamBuilder apply to unit draws
+    got = lo + (hi - lo) * rng.uniform_array(n)
     assert got.tobytes() == expected.tobytes()
     assert np.all((got >= lo) & (got < hi))
     assert_same_stream_after(rng, after)

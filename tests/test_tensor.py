@@ -48,6 +48,14 @@ class TestLinear:
         with pytest.raises(ValueError, match=r"\(3, 2\).*\(3, 2\)"):
             T.linear(Tensor(rand((3, 2))), Tensor(rand((3, 2))), Tensor(np.zeros(2)))
 
+    def test_input_must_be_2d(self):
+        with pytest.raises(ValueError, match=r"linear: need a 2-d input, got shape \(3,\)"):
+            T.linear(Tensor(np.ones(3)), Tensor(np.eye(3)), Tensor(np.zeros(3)))
+
+    def test_bias_must_match_output_width(self):
+        with pytest.raises(ValueError, match="bias shape \\(2,\\) does not match output width 3"):
+            T.linear(Tensor(rand((4, 3), 3)), Tensor(np.eye(3)), Tensor(np.zeros(2)))
+
 
 class TestActivation:
     def test_relu_values(self):
@@ -317,6 +325,10 @@ class TestConcat:
         np.testing.assert_array_equal(a.grad, upstream[:, :, :2])
         np.testing.assert_array_equal(b.grad, upstream[:, :, 2:])
 
+    def test_no_tensors(self):
+        with pytest.raises(ValueError, match="concat: need at least one tensor"):
+            T.concat([])
+
     def test_extent_mismatch(self):
         with pytest.raises(ValueError, match="disagree"):
             T.concat([Tensor(rand((3, 2))), Tensor(rand((4, 2)))], axis=1)
@@ -413,6 +425,15 @@ class TestPurityAndMisc:
         x = Tensor(rand((3, 2), 21), requires_grad=True)
         backward(T.tile_rows(x, 4).sum())
         np.testing.assert_array_equal(x.grad, np.full((3, 2), 4.0))
+
+    @pytest.mark.parametrize("shape", [(2, 3), ((2, 3),), ([2, 3],), (-1, 3)])
+    def test_reshape_takes_either_spelling(self, shape):
+        x = parameter(np.arange(6.0))
+        out = x.reshape(*shape)
+        np.testing.assert_array_equal(out.data, np.arange(6.0).reshape(2, 3))
+        weights = rand((2, 3), 22)
+        backward((out * weights).sum())
+        np.testing.assert_array_equal(x.grad, weights.reshape(6))
 
     def test_no_grad_disables_recording(self):
         x = Tensor(rand((2, 2)), requires_grad=True)

@@ -150,6 +150,11 @@ class TestNestedTargets:
         np.testing.assert_array_equal(targets[2], pts)
         np.testing.assert_array_equal(targets[3], pts)
 
+    def test_count_above_the_missing_part_rejected(self):
+        with pytest.raises(ValueError) as info:
+            nested_targets(cloud(8, 12), [4, 16])
+        assert str(info.value) == "nested_targets: stage count 16 exceeds missing part size 8"
+
 
 def synth_outputs(clouds):
     return StageOutputs(stages=[Tensor(c) for c in clouds])
@@ -185,6 +190,17 @@ class TestStepwiseLoss:
         outputs = synth_outputs([cloud(8, 17)])
         with pytest.raises(ValueError, match="stage"):
             stepwise_loss(outputs, [cloud(9, 18)], LossWeights())
+
+    def test_target_count_must_match_stage_count(self):
+        with pytest.raises(ValueError) as info:
+            stepwise_loss(synth_outputs([cloud(8, 17), cloud(8, 18)]), [cloud(8, 19)], LossWeights())
+        assert str(info.value) == "stepwise_loss: 2 stages but 1 targets"
+
+    def test_more_stages_than_weights_rejected(self):
+        clouds = [cloud(4, 20 + i) for i in range(5)]
+        with pytest.raises(ValueError) as info:
+            stepwise_loss(synth_outputs(clouds), clouds, LossWeights())
+        assert str(info.value) == "stepwise_loss: 5 stages exceed the 4 stage weights"
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -309,7 +325,9 @@ class TestTrainConfig:
         (dict(epochs=1, batch_size=1.5), "config key batch_size: expected an integer, got 1.5"),
         (dict(epochs=1, seed=0.5), "config key seed: expected an integer, got 0.5"),
         (dict(epochs=1, lr="0.1"), 'config key lr: expected a number, got "0.1"'),
-    ], ids=["epochs-float", "epochs-bool", "batch-float", "seed-float", "lr-str"])
+        (dict(epochs=1, lr_decay="step"),
+         "lr_decay must be one of ('none', 'cosine'), got 'step'"),
+    ], ids=["epochs-float", "epochs-bool", "batch-float", "seed-float", "lr-str", "lr_decay-step"])
     def test_value_of_wrong_type_rejected(self, fields, message):
         with pytest.raises(ValueError) as info:
             TrainConfig(**fields)
@@ -553,6 +571,12 @@ class TestEvaluate:
         csv = report.to_csv()
         assert csv.splitlines()[0] == "category,count,cd_coarse,cd_mid,cd_fine,cd_final"
         assert csv.splitlines()[-1].startswith("overall,")
+
+    def test_empty_dataset_rejected(self):
+        from spcnet.data import Dataset
+
+        with pytest.raises(ValueError, match="evaluate: dataset is empty"):
+            evaluate({}, TINY, Dataset(shapes=[]))
 
     def test_dataset_count_mismatch_rejected(self):
         from spcnet.model import init_params
