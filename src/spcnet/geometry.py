@@ -14,18 +14,39 @@ import numpy as np
 from .rng import Rng
 
 
-# Blocked kernels (distances here, the fused graph conv in ``layers``) take
-# rows in blocks of about this many bytes, counted at the bytes per row each
-# caller gives: every array the distance kernels hold at once here
+# Every blocked kernel (the distances here; the fused graph conv's forward
+# and backward in ``layers``) takes its rows by one rule, ``row_blocks``:
+# blocks of about this many bytes, counted at the bytes per row each caller
+# gives: every array the distance kernels hold at once here
 # (``_PAIR_BYTES`` per pair), and the conv's scratch per row there.
 _BLOCK_BYTES = 2 << 20
+# Rows that take more than one block go in whole multiples of this many
+# rows, the last block the rest, whatever the block budget: each conv block
+# projects its rows' owners in one product, and BLAS rounds a product's
+# rows by where they fall in its row tiles (at 33 features and 42
+# projection columns, blocks of 33 rows moved the last bits).  Measured on
+# a 2-vCPU Xeon with one BLAS thread: per row, products of 8 rows cost
+# 1.3-2.7x the whole projection's, and of 32 rows 0.67-0.97x at the
+# benchmark's widths and 1.33x at a paper-scale pool2 (1.06x at 64 rows,
+# 0.91x at 128).
+_MIN_BLOCK_ROWS = 32
 
 
 def row_blocks(rows: int, row_bytes: int) -> list:
-    """Slices over ``rows`` rows of ``row_bytes`` each, about ``_BLOCK_BYTES``
-    per slice."""
+    """Slices over ``rows`` rows of ``row_bytes`` each: one slice if they
+    fit in ``_BLOCK_BYTES``, else slices of about ``_BLOCK_BYTES`` in whole
+    multiples of ``_MIN_BLOCK_ROWS`` rows, with the rest last.
+
+    A lone last row joins the slice before it (a one-row product takes
+    BLAS's matrix-vector kernel, which rounds otherwise).
+    """
     step = max(1, _BLOCK_BYTES // row_bytes)
-    return [slice(i, min(rows, i + step)) for i in range(0, rows, step)]
+    if step < rows:
+        step = max(_MIN_BLOCK_ROWS, step - step % _MIN_BLOCK_ROWS)
+    cuts = list(range(0, rows, step)) + [rows]
+    if len(cuts) > 2 and rows - cuts[-2] == 1:
+        del cuts[-2]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def _columns(cloud: np.ndarray) -> np.ndarray:

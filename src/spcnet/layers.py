@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .geometry import NeighborGraph, fps, knn, nearest_index, row_blocks
 from .optim import ParamBuilder, ParamSet
-from .tensor import Tensor, as_tensor, constant
+from .tensor import Tensor, as_tensor
 
 EDGE_SLOPE = 0.2  # slope of the leaky-relu used as the edge nonlinearity
 VMLP_KINDS = ("vmlp", "pointnet_mlp", "one_subnet")
@@ -115,38 +115,11 @@ CONVS = {"adapt": adaptconv_params, "edge": edgeconv_params}
 # and 32, and four taped 2048-point stage convs 41.7-42.4 ms at 8 and
 # 44.1-44.6 ms at 16.
 _REF_WIDTH = 8
-# A forward block takes a whole number of this many rows, the last block
-# the rest, whatever the block budget: each block projects its rows' owners
-# in one product, and BLAS rounds a product's rows by where they fall in its
-# row tiles (at 33 features and 42 projection columns, blocks of 33 rows
-# moved the last bits).  Measured on a 2-vCPU Xeon with one BLAS thread: per
-# row, products of 8 rows cost 1.3-2.7x the whole projection's, and of 32
-# rows 0.67-0.97x at the benchmark's widths and 1.33x at a paper-scale pool2
-# (1.06x at 64 rows, 0.91x at 128).
-_MIN_BLOCK_ROWS = 32
 # The weights are laid out about this many kernel values (a unit's at
 # least) at a time.  Measured on a 2-vCPU Xeon for a conv of 64 features
 # and 256 outputs: the forward's layout took 203 ms in blocks of 32 outputs
 # and 40 ms a unit at a time; the backward's 131 and 91 ms.
 _LAYOUT_VALUES = 1 << 14
-
-
-def _forward_blocks(rows: int, row_bytes: int) -> list:
-    """Slices over ``rows`` rows of ``row_bytes`` each: one slice if
-    ``row_blocks`` takes them in one, else slices of about one
-    ``row_blocks`` block in whole multiples of ``_MIN_BLOCK_ROWS`` rows,
-    with the rest last.
-
-    A lone last row joins the slice before it (a one-row product takes
-    BLAS's matrix-vector kernel, which rounds otherwise).
-    """
-    step = row_blocks(max(1, rows), row_bytes)[0].stop
-    if step < rows:
-        step = max(_MIN_BLOCK_ROWS, step - step % _MIN_BLOCK_ROWS)
-    cuts = list(range(0, rows, step)) + [rows]
-    if len(cuts) > 2 and rows - cuts[-2] == 1:
-        del cuts[-2]
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def _carve(*shapes) -> list:
@@ -202,8 +175,8 @@ def _conv_over_edges(
     groups, each group the edges of one owning point: it gathers the other
     side's generator inputs, adds the owner's, applies the leaky unit,
     multiplies by the owner's projection (the block's owners projected in
-    one product) and adds the bias unit's row.  Blocks take about
-    ``_BLOCK_BYTES``, in whole multiples of ``_MIN_BLOCK_ROWS`` rows.  The
+    one product) and adds the bias unit's row.  Both passes and the
+    backward take their blocks by ``geometry.row_blocks``' one rule.  The
     reference pass groups the edges stably sorted by reference, in rows of
     at most ``_REF_WIDTH`` edges of one reference padded to a common width
     (a reference no edge reaches has no row), and writes the terms back in
@@ -283,10 +256,10 @@ def _conv_over_edges(
     first_slot = (np.cumsum(ref_rows) - ref_rows) * width - (np.cumsum(counts) - counts)
     slots.reshape(-1)[first_slot[flat[order]] + np.arange(flat.size)] = order
 
-    # Both passes take blocks of about _BLOCK_BYTES, in one set of buffers
-    # carved with the reference terms.
+    # Both passes take their blocks in one set of buffers carved with the
+    # reference terms.
     def blocks(rows, width):
-        return _forward_blocks(rows, 8 * (units * m_out + width * (2 * units + m_out)))
+        return row_blocks(rows, 8 * (units * m_out + width * (2 * units + m_out)))
 
     ref_blocks, centre_blocks = blocks(row_ref.size, width), blocks(q, k)
     spans = [(b.stop - b.start, width) for b in ref_blocks]
@@ -359,8 +332,12 @@ def _conv_over_edges(
         centres = np.arange(q)[:, None]
         # Each block adds a whole [m_out, d, units] product into each weight
         # gradient, over an inner dimension of only its rows, so a block
-        # takes 4x the rows of a 2 MB [m_out, max(units, d)] array: at paper
-        # width that halves the backward, and more rows gain nothing further.
+        # takes 4x the rows of a 2 MB [m_out, max(units, d)] array, and at
+        # least the 32-row floor.  At paper width the floor sets them (the
+        # pool2 budget alone gives 15 rows).  Over 3 alternating pairs of
+        # scripts/paper_scale_step.py on a 2-vCPU Xeon, the backward took
+        # 12.1-12.2 s with the floor against 12.8-15.5 s without, and its
+        # traced peak was 809 MB against 756 MB.
         for rows in row_blocks(q, 2 * m_out * max(units, d)):
             # [m_out, qb] reference at each output's max edge
             picked = neighbors[centres[rows], arg[rows]].T
@@ -601,8 +578,7 @@ def vmlp(
     params: ParamSet,
     prefix: str,
     spec: VmlpSpec,
-    return_pooled: bool = False,
-):
+) -> Tensor:
     """Point-wise global feature from parallel MLP sub-nets.
 
     Each sub-net runs over the full coordinates and its last layer outputs
@@ -613,7 +589,6 @@ def vmlp(
     three sub-nets, all three for one), giving ``[a0, x, a1, y, a2, z]`` or
     ``[a, x, y, z]``, and the joined rows pass through a final adaptive
     convolution over ``graph``, the cloud's graph on itself.
-    ``return_pooled`` also returns the ``[subs, P]`` pooled tensor.
     """
     points = as_tensor(points)
     n = points.shape[0]
@@ -637,7 +612,7 @@ def vmlp(
         axis=2,
     ).reshape(n, -1)
     out = graph_conv("adapt", points, per_point, graph, params, f"{prefix}.conv", spec.out_width)
-    return (out, pooled) if return_pooled else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +669,7 @@ def fold_decode(
     point_feats = as_tensor(point_feats)
     m = coarse_points.shape[0]
     codes = grid_codes(upsample_k, grid_count, grid_r)
-    code_rows = constant(np.repeat(codes, m, axis=0))
+    code_rows = Tensor(np.repeat(codes, m, axis=0))
     tiled_pts = T.tile_rows(coarse_points, upsample_k)
     tiled_feats = T.tile_rows(point_feats, upsample_k)
     joined = T.concat([code_rows, tiled_feats, tiled_pts], axis=1)

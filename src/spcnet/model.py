@@ -217,18 +217,6 @@ class StageOutputs:
     stages: list
 
     @property
-    def coarse(self) -> Tensor:
-        return self.stages[0]
-
-    @property
-    def mid(self) -> Tensor:
-        return self.stages[1]
-
-    @property
-    def fine(self) -> Tensor:
-        return self.stages[2]
-
-    @property
     def final(self) -> Tensor:
         return self.stages[-1]
 
@@ -259,7 +247,7 @@ def global_code(features: Tensor) -> Tensor:
     """
     pooled = T.reduce_max_rows(features).reshape(-1, 1)
     # the code's entries as the rows of one column
-    return T.batch_norm(pooled, T.constant([1.0]), T.constant([0.0])).reshape(-1)
+    return T.batch_norm(pooled, Tensor([1.0]), Tensor([0.0])).reshape(-1)
 
 
 def coarse_stage(p_down: Tensor, params: ParamSet, config: ModelConfig) -> Tensor:

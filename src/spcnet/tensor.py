@@ -158,10 +158,6 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def constant(value) -> Tensor:
-    return Tensor(np.asarray(value, dtype=np.float64))
-
-
 # ---------------------------------------------------------------------------
 # spec-level operations
 # ---------------------------------------------------------------------------

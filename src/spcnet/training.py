@@ -22,7 +22,7 @@ from .model import (
 )
 from .optim import AdamState, ParamSet, adam_step, zero_grads
 from .rng import Rng
-from .tensor import Tensor, as_tensor, backward, constant, no_grad
+from .tensor import Tensor, as_tensor, backward, no_grad
 
 CUBE_CORNERS = np.array(
     [(x, y, z) for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)]
@@ -116,7 +116,7 @@ def stepwise_loss(outputs: StageOutputs, targets, weights: LossWeights) -> Tenso
                 f"stepwise_loss: stage has {stage.shape[0]} points but target "
                 f"has {target.shape[0]}"
             )
-        term = chamfer(stage, constant(target)) * alpha
+        term = chamfer(stage, Tensor(target)) * alpha
         total = term if total is None else total + term
     return total
 
@@ -355,7 +355,7 @@ def shape_errors(params: ParamSet, config: ModelConfig, points, viewpoint, stage
             pairs = zip(out.stages, nested_targets(p_m, out.counts()))
         else:
             pairs = [(np.concatenate([p_n, out.final.data]), np.concatenate([p_n, p_m]))]
-        return tuple(chamfer(pred, constant(true)).item() * 1000.0 for pred, true in pairs)
+        return tuple(chamfer(pred, Tensor(true)).item() * 1000.0 for pred, true in pairs)
 
 
 def evaluate(

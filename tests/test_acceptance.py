@@ -483,10 +483,10 @@ def test_criterion_5_zero_head_identity():
         zero_fold_heads(params, cfg)
         with no_grad():
             out = spcnet_forward(Tensor(cloud(128, 5)), params, cfg)
-        coarse = out.coarse.data
-        np.testing.assert_array_equal(out.mid.data, np.tile(coarse, (4, 1)))
-        np.testing.assert_array_equal(out.fine.data, np.tile(out.mid.data, (4, 1)))
-        np.testing.assert_array_equal(out.final.data, out.fine.data)
+        coarse, mid, fine = (s.data for s in out.stages[:3])
+        np.testing.assert_array_equal(mid, np.tile(coarse, (4, 1)))
+        np.testing.assert_array_equal(fine, np.tile(mid, (4, 1)))
+        np.testing.assert_array_equal(out.final.data, fine)
 
 
 def test_criterion_8_cycle_loss_arithmetic():

@@ -31,6 +31,8 @@ READ_ARGS = {
 READ_ATTRIBUTES = {
     "training.TrainResult": ("params", "reverse_params", "reverse_config", "trace", "trace_lines"),
     "model.StageOutputs": ("counts", "stages", "final"),
+    "model.ModelConfig": ("stage_counts",),
+    "geometry.NeighborGraph": ("neighbors",),
     "training.EvalReport": ("overall", "to_csv"),
 }
 

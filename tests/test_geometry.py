@@ -255,9 +255,10 @@ class TestKnn:
         with pytest.raises(ValueError, match=rf"knn: k={k} outside \[1, 3\]"):
             knn(pts, pts, k)
 
-    # 1100 rows against 1100 take five query blocks of about 2 MB of
-    # distances, 3000 against 200 three, 200 against 3000 three; the clouds
-    # share their first rows, so row i's own point is column i
+    # 1100 rows against 1100 take 35 query blocks (of 32 rows, the floor),
+    # 3000 against 200 ten (of 320 rows, about 2 MB of pair arrays), 200
+    # against 3000 seven; the clouds share their first rows, so row i's own
+    # point is column i
     @pytest.mark.parametrize("q, r, exclude_self", [
         (1100, 1100, True), (3000, 200, False), (3000, 200, True), (200, 3000, True),
     ])
@@ -329,7 +330,7 @@ class TestNearestIndex:
             nearest_index(cloud(3, 11), np.empty((0, 3)))
 
     def test_many_blocks_keep_first_minimum(self):
-        # 3000 rows against 200 take three query blocks; rounding to a
+        # 3000 rows against 200 take ten query blocks; rounding to a
         # lattice repeats reference points, so many rows have tied minima
         query = np.round(cloud(3000, 25) * 2.0) / 2.0
         reference = np.round(cloud(200, 26) * 2.0) / 2.0
@@ -680,6 +681,23 @@ class TestNormalizeCloud:
             normalize_cloud(np.ones((5, 3)))
         with pytest.raises(ValueError):
             normalize_cloud(np.ones((1, 3)))
+
+
+def test_row_blocks_take_whole_multiples_of_the_row_floor(monkeypatch):
+    def sizes(rows):
+        return [b.stop - b.start for b in geometry.row_blocks(rows, 8)]
+
+    assert geometry._MIN_BLOCK_ROWS == 32
+    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 8)  # a one-row budget
+    assert sizes(65) == [32, 33]  # a lone last row joins the block before
+    assert sizes(33) == [33]
+    assert sizes(64) == [32, 32]
+    assert sizes(0) == []
+    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 8 * 70)  # whole multiples of the floor
+    assert sizes(100) == [64, 36]
+    assert sizes(70) == [70]
+    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 1 << 62)  # unbounded
+    assert sizes(1000) == [1000]
 
 
 @pytest.mark.parametrize("kernel", ["knn", "fps", "interp", "nearest"])

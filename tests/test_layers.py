@@ -408,27 +408,20 @@ class TestFusedConv:
         # blocks of the fewest rows: 32, 32 and a ragged 11 centres
         runs = over_several_blocks(kind, 4, 2, monkeypatch)
         assert_matches_composite(kind, tensors, nbrs, params, 2)
-        assert [b.stop - b.start for b in runs[-1]] == [32, 32, 11]  # the centre pass
+        assert [b.stop - b.start for b in runs[1]] == [32, 32, 11]  # the centre pass
 
     def test_backward_over_several_blocks(self, kind, monkeypatch):
         q, d, m_out = 100, 3, 4
         tensors, nbrs, params = conv_case(kind, q, 120, 4, d, m_out, 98)
         units = m_out + 1 if kind == "adapt" else 1  # generator units and the bias unit
-        # 3 rows per backward block: 33 blocks of 3 and a ragged 1; the
-        # forward's blocks take the fewest rows, 32
+        # a backward budget of 3 rows, raised to the 32-row floor: blocks of
+        # 32, 32, 32 and a ragged 4; the forward's take the floor too
         monkeypatch.setattr(G, "_BLOCK_BYTES", 2 * m_out * max(units, d) * 3)
-        runs = spy_forward_blocks(monkeypatch)
-        counts = []
-
-        def counted(rows, row_bytes):
-            blocks = G.row_blocks(rows, row_bytes)
-            counts.append(len(blocks))
-            return blocks
-
-        monkeypatch.setattr(L, "row_blocks", counted)
+        runs = spy_blocks(monkeypatch)
         assert_matches_composite(kind, tensors, nbrs, params, m_out)
         # the forward's passes over several blocks too, then the backward's
-        assert max(map(len, runs)) > 1 and counts[-1] == 34
+        assert max(map(len, runs[:2])) > 1
+        assert [b.stop - b.start for b in runs[-1]] == [32, 32, 32, 4]
 
     def test_forward_bits_independent_of_block_size(self, kind, monkeypatch):
         # 300 centres at budgets of 32, 33 or 64 rows, or one block (an
@@ -449,7 +442,7 @@ class TestFusedConv:
             budget = 1 << 62 if block_rows is None else row_bytes(kind, 6, m_out) * block_rows
             with monkeypatch.context() as m:
                 m.setattr(G, "_BLOCK_BYTES", budget)
-                runs = spy_forward_blocks(m)
+                runs = spy_blocks(m)
                 with T.no_grad() if not taped else contextlib.nullcontext():
                     out = L._conv_over_edges(kind, *tensors, nbrs, params, "c", m_out)
             assert (len(runs[-1]) > 1) == (block_rows is not None)  # the centre pass
@@ -474,7 +467,7 @@ class TestFusedConv:
         counts = np.bincount(nbrs.reshape(-1), minlength=20)
         assert (counts == 0).any()
         width = min(L._REF_WIDTH, counts.max())
-        runs = spy_forward_blocks(monkeypatch)
+        runs = spy_blocks(monkeypatch)
         assert_matches_composite(kind, tensors, nbrs, params, 3)
         assert runs[0][-1].stop == (-(-counts // width)).sum() < 20  # the reference pass
         tensors, nbrs, params = conv_case(kind, 9, 12, 5, 2, 3, 100)
@@ -538,23 +531,6 @@ def test_forward_holds_neither_projection_whole():
     assert peak < projection
 
 
-def test_forward_blocks_take_whole_multiples_of_the_row_floor(monkeypatch):
-    def sizes(rows):
-        return [b.stop - b.start for b in L._forward_blocks(rows, 8)]
-
-    assert L._MIN_BLOCK_ROWS == 32
-    monkeypatch.setattr(G, "_BLOCK_BYTES", 8)  # a one-row budget
-    assert sizes(65) == [32, 33]  # a lone last row joins the block before
-    assert sizes(33) == [33]
-    assert sizes(64) == [32, 32]
-    assert sizes(0) == []
-    monkeypatch.setattr(G, "_BLOCK_BYTES", 8 * 70)  # whole multiples of the floor
-    assert sizes(100) == [64, 36]
-    assert sizes(70) == [70]
-    monkeypatch.setattr(G, "_BLOCK_BYTES", 1 << 62)  # unbounded
-    assert sizes(1000) == [1000]
-
-
 def test_carve_takes_whole_mib():
     small, large = L._carve((3, 5), (2,)), L._carve((1 << 17,), (1,))
     assert [a.shape for a in small] == [(3, 5), (2,)]
@@ -595,26 +571,27 @@ def row_bytes(kind, k, m_out):
     return 8 * (units * m_out + k * (2 * units + m_out))
 
 
-def spy_forward_blocks(monkeypatch):
-    """A list that gets the blocks of each pass the fused conv's forward
-    runs, in the order it runs them."""
-    runs, blocks_of = [], L._forward_blocks
+def spy_blocks(monkeypatch):
+    """A list that gets the blocks of each pass the fused conv runs, in
+    the order it runs them: the forward's reference and centre passes,
+    then, taped, the backward's."""
+    runs, blocks_of = [], G.row_blocks
 
     def spied(rows, row_bytes):
         runs.append(blocks_of(rows, row_bytes))
         return runs[-1]
 
-    monkeypatch.setattr(L, "_forward_blocks", spied)
+    monkeypatch.setattr(L, "row_blocks", spied)
     return runs
 
 
 def over_several_blocks(kind, k, m_out, monkeypatch):
     """Shrink the block budget to one centre row of k neighbours, so the
-    forward's blocks take the fewest rows (``L._MIN_BLOCK_ROWS``): a conv
+    forward's blocks take the fewest rows (``G._MIN_BLOCK_ROWS``): a conv
     of 100 centres runs its centre pass over 4 blocks.  Returns the
-    spy of ``spy_forward_blocks``."""
+    spy of ``spy_blocks``."""
     monkeypatch.setattr(G, "_BLOCK_BYTES", row_bytes(kind, k, m_out))
-    return spy_forward_blocks(monkeypatch)
+    return spy_blocks(monkeypatch)
 
 
 def assert_several_blocks(runs):
@@ -1048,32 +1025,36 @@ class TestVmlp:
         out = L.vmlp(Tensor(pts), self_graph(pts, 8), pb.entries, "v", spec)
         assert out.shape == (10, 128)
 
-    def test_permutation_invariant_pooled_equivariant_rows(self):
+    def vmlp_pooled(self, pts, params, monkeypatch):
+        """The VMLP's output on ``pts`` and its ``[subs, P]`` pooled tensor,
+        taken from the stage's one call of ``T.reduce_max_rows``."""
+        pools, reduce_max_rows = [], T.reduce_max_rows
+
+        def spied(*xs):
+            pools.append(reduce_max_rows(*xs))
+            return pools[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(T, "reduce_max_rows", spied)
+            out = L.vmlp(Tensor(pts), self_graph(pts, 4), params, "v", self.SPEC)
+        (pool,) = pools
+        return out, pool.reshape(L._vmlp_layout(self.SPEC)[0], -1)
+
+    def test_permutation_invariant_pooled_equivariant_rows(self, monkeypatch):
         params = self.build(34)
         pts = cloud(9, 34)
         perm = np.random.default_rng(35).permutation(9)
-        out, pooled = L.vmlp(
-            Tensor(pts), self_graph(pts, 4), params, "v", self.SPEC, return_pooled=True
-        )
-        out_p, pooled_p = L.vmlp(
-            Tensor(pts[perm]), self_graph(pts[perm], 4), params, "v", self.SPEC,
-            return_pooled=True,
-        )
+        out, pooled = self.vmlp_pooled(pts, params, monkeypatch)
+        out_p, pooled_p = self.vmlp_pooled(pts[perm], params, monkeypatch)
         assert pooled.shape == (3, 17)  # three sub-nets, last four widths 3+4+4+6
         np.testing.assert_allclose(pooled_p.data, pooled.data, atol=1e-12)
         np.testing.assert_allclose(out_p.data, out.data[perm], atol=1e-10)
 
-    def test_duplication_leaves_pooled_vectors_unchanged(self):
+    def test_duplication_leaves_pooled_vectors_unchanged(self, monkeypatch):
         params = self.build(36)
         pts = cloud(7, 36)
-        _, pooled = L.vmlp(
-            Tensor(pts), self_graph(pts, 4), params, "v", self.SPEC, return_pooled=True
-        )
-        doubled = np.vstack([pts, pts])
-        _, pooled_d = L.vmlp(
-            Tensor(doubled), self_graph(doubled, 4), params, "v", self.SPEC,
-            return_pooled=True,
-        )
+        _, pooled = self.vmlp_pooled(pts, params, monkeypatch)
+        _, pooled_d = self.vmlp_pooled(np.vstack([pts, pts]), params, monkeypatch)
         assert pooled.shape == (3, 17)
         np.testing.assert_allclose(pooled_d.data, pooled.data, atol=1e-12)
 
@@ -1089,12 +1070,10 @@ class TestVmlp:
             out.data, vmlp_reference(pts, graph, pb.entries, spec), rtol=1e-12
         )
 
-    def test_one_pooling_node_per_stage(self):
+    def test_one_pooling_node_per_stage(self, monkeypatch):
         params = self.build(42)
         pts = cloud(8, 42)
-        _, pooled = L.vmlp(
-            Tensor(pts), self_graph(pts, 4), params, "v", self.SPEC, return_pooled=True
-        )
+        _, pooled = self.vmlp_pooled(pts, params, monkeypatch)
         (pool,) = pooled._parents  # under the [subs, P] reshape
         assert len(pool._parents) == 3 * 4  # the last four layers of three sub-nets
         # three five-layer sub-nets, the pooling node and its reshape

@@ -347,9 +347,9 @@ class TestSpcnetForward:
         params = init_params(cfg, 10)
         out = spcnet_forward(Tensor(cloud(1024, 19)), params, cfg)
         assert out.counts() == [64, 256, 1024, 1024]
-        assert out.coarse.shape[0] == 64
-        assert out.mid.shape[0] == 256
-        assert out.fine.shape[0] == 1024
+        assert out.stages[0].shape[0] == 64
+        assert out.stages[1].shape[0] == 256
+        assert out.stages[2].shape[0] == 1024
         assert out.final.shape[0] == 1024
 
     def test_single_stage_config(self):
@@ -391,10 +391,10 @@ class TestSpcnetForward:
         params = init_params(TINY, 15)
         zero_fold_heads(params, TINY)
         out = spcnet_forward(Tensor(cloud(32, 24)), params, TINY)
-        coarse = out.coarse.data
-        np.testing.assert_array_equal(out.mid.data, np.tile(coarse, (2, 1)))
-        np.testing.assert_array_equal(out.fine.data, np.tile(np.tile(coarse, (2, 1)), (2, 1)))
-        np.testing.assert_array_equal(out.final.data, out.fine.data)
+        coarse, mid, fine = (s.data for s in out.stages[:3])
+        np.testing.assert_array_equal(mid, np.tile(coarse, (2, 1)))
+        np.testing.assert_array_equal(fine, np.tile(np.tile(coarse, (2, 1)), (2, 1)))
+        np.testing.assert_array_equal(out.final.data, fine)
 
     def test_partial_substitution_keeps_counts(self):
         for sub in ("pnk-pn", "pnkk-pn"):

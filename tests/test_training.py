@@ -118,7 +118,7 @@ class TestChamfer:
         assert (full == full.min(axis=0, keepdims=True)).sum(axis=0).max() >= 2
         whole = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
         backward(chamfer(*whole))
-        monkeypatch.setattr(G, "_BLOCK_BYTES", 8 * 30 * len(b))  # 30 rows of a per block
+        monkeypatch.setattr(G, "_BLOCK_BYTES", 8 * 30 * len(b))  # several blocks of the 32-row floor
         assert len(G.row_blocks(len(a), 8 * len(b))) >= 3
         assert len(G.row_blocks(len(b), 8 * len(a))) >= 3
         idx_ab, idx_ba = full.argmin(axis=1), full.argmin(axis=0)
